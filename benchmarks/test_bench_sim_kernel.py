@@ -17,13 +17,11 @@ pre-refactor event count (cheap determinism guard; the byte-level proof
 lives in ``tests/test_kernel_equivalence.py``) and archives the measured
 throughput in ``BENCH_sim_kernel.json``.
 
-The ≥2.0× speedup target (raised from 1.3× after the cohort-batched
-main loop, message-construction slimming, and delivery fast path
-landed) is asserted softly (warn, don't fail) because CI containers
-have wildly varying single-core performance; the archived JSON is the
-artifact reviewers check, and the CI trend gate compares runs of the
-same workflow against the committed artifact rather than against an
-absolute number.
+The ≥2.0× speedup target is asserted softly (warn, don't fail) because
+CI containers have wildly varying single-core performance; the archived
+JSON is the artifact reviewers check, and ``repro regress`` in CI
+compares runs of the same workflow against the committed artifact
+rather than against an absolute number.
 """
 
 from __future__ import annotations

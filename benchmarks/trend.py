@@ -1,7 +1,8 @@
-"""Perf-trend helpers for the CI bench matrix.
+"""Perf-trend helper for the CI bench matrix.
 
-Two subcommands, both operating on the ``BENCH_*.json`` artifacts the
-benchmark suite archives under ``benchmarks/results/``:
+One subcommand, operating on the ``BENCH_*.json`` artifacts the
+benchmark suite archives under ``benchmarks/results/`` (regressions are
+gated by ``repro.cli regress``, not here):
 
 ``append``
     Extract every throughput metric (any ``events_per_sec`` /
@@ -11,22 +12,11 @@ benchmark suite archives under ``benchmarks/results/``:
     ``bench-history`` artifact, so each workflow run contributes one
     downloadable line per bench and a plot is one ``jq`` away.
 
-``gate``
-    Compare the same throughput metrics between a freshly regenerated
-    result and the committed baseline, failing (exit 1) when any metric
-    dropped by more than ``--threshold-pct``. This is deliberately
-    one-sided: getting faster never fails, and non-throughput fields
-    (timings, counts) are the ``repro.cli regress`` gate's job.
-
 Usage (from the repo root)::
 
     python benchmarks/trend.py append --bench kernel \
         --result benchmarks/results/BENCH_sim_kernel.json \
         --out bench-history.jsonl --sha "$GITHUB_SHA"
-    python benchmarks/trend.py gate \
-        --result benchmarks/results/BENCH_sim_kernel.json \
-        --baseline /tmp/bench-baseline/BENCH_sim_kernel.json \
-        --threshold-pct 25
 """
 
 from __future__ import annotations
@@ -34,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import sys
 import time
 from typing import Dict
 
@@ -74,38 +63,6 @@ def cmd_append(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gate(args: argparse.Namespace) -> int:
-    fresh = extract_throughput(json.loads(pathlib.Path(args.result).read_text()))
-    base = extract_throughput(
-        json.loads(pathlib.Path(args.baseline).read_text())
-    )
-    floor = 1.0 - args.threshold_pct / 100.0
-    failures = []
-    for path, committed in sorted(base.items()):
-        measured = fresh.get(path)
-        if measured is None:
-            failures.append(f"{path}: missing from fresh result")
-            continue
-        ratio = measured / committed if committed else float("inf")
-        verdict = "ok" if ratio >= floor else "REGRESSION"
-        print(
-            f"{path}: {measured:,.0f} vs committed {committed:,.0f} "
-            f"({ratio:.2f}x, floor {floor:.2f}x) {verdict}"
-        )
-        if ratio < floor:
-            failures.append(
-                f"{path}: {measured:,.0f} is {1 - ratio:.0%} below the "
-                f"committed {committed:,.0f} (allowed {args.threshold_pct}%)"
-            )
-    if failures:
-        print("throughput regression gate FAILED:", file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-        return 1
-    print("throughput regression gate passed")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -116,12 +73,6 @@ def main(argv=None) -> int:
     append_p.add_argument("--out", default="bench-history.jsonl")
     append_p.add_argument("--sha", default="")
     append_p.set_defaults(fn=cmd_append)
-
-    gate_p = sub.add_parser("gate", help="fail on throughput regression")
-    gate_p.add_argument("--result", required=True)
-    gate_p.add_argument("--baseline", required=True)
-    gate_p.add_argument("--threshold-pct", type=float, default=25.0)
-    gate_p.set_defaults(fn=cmd_gate)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -16,9 +16,6 @@ construction cost of the tens of thousands of messages a saturation run
 allocates. ``unsafe_hash=True`` keeps the generated field-tuple ``__eq__``
 and ``__hash__`` of the frozen version, so equality, hashing, reprs, and
 the :func:`dataclasses.fields`-driven trace/wire codec are unchanged.
-
-:data:`pool` is an opt-in free-list recycler for the highest-churn
-consumed-on-delivery message types; see :class:`MessagePool`.
 """
 
 from __future__ import annotations
@@ -226,113 +223,3 @@ class RejoinAck:
     epoch: int = 0
 
     type_name = "rejoin-ack"
-
-
-class MessagePool:
-    """Opt-in free-lists for the consumed-on-delivery control messages.
-
-    A saturation run allocates one :class:`Reply`/:class:`Fail`/
-    :class:`Inquire`/:class:`Yield` per protocol step and drops it the
-    moment the handler returns — none of these four types is ever
-    retained (requests can be parked by the rejoin protocol and releases
-    buffered out-of-order, so those types are *not* pooled). When the
-    pool is armed, :meth:`repro.core.site.CaoSinghalSite.on_message`
-    recycles each one after its handler runs, and the ``new_*`` factories
-    reuse recycled instances instead of allocating.
-
-    Disarmed (the default) the factories construct normally and
-    :meth:`recycle` is a no-op, so the default path is byte-identical to
-    plain constructor calls. Arming is only sound when delivered messages
-    are truly consumed-on-delivery: no trace retaining payloads, no
-    fault-model duplicates sharing them, no reliable transport buffering
-    them. :func:`repro.experiments.runner.run_mutex` arms the pool only
-    for runs that satisfy all of that (and only when the
-    ``REPRO_MSG_POOL=1`` environment toggle asks for it); the equivalence
-    suite pins that pooled runs produce byte-identical summaries.
-    """
-
-    __slots__ = ("enabled", "reused", "recycled", "_free")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        #: Instances handed back out by the ``new_*`` factories.
-        self.reused = 0
-        #: Instances returned by :meth:`recycle` while armed.
-        self.recycled = 0
-        self._free = {Reply: [], Fail: [], Inquire: [], Yield: []}
-
-    def arm(self) -> None:
-        """Start recycling (see class docstring for the soundness rules)."""
-        self.enabled = True
-
-    def disarm(self) -> None:
-        """Stop recycling and drop every pooled instance."""
-        self.enabled = False
-        for free in self._free.values():
-            del free[:]
-
-    def recycle(self, msg: object) -> None:
-        """Return a consumed message for reuse (no-op while disarmed)."""
-        if not self.enabled:
-            return
-        free = self._free.get(msg.__class__)
-        if free is not None:
-            free.append(msg)
-            self.recycled += 1
-
-    # -- factories (constructor-compatible signatures) --------------------
-
-    def new_reply(
-        self,
-        arbiter: SiteId,
-        grantee: Priority,
-        forwarded_by: Optional[SiteId] = None,
-        epoch: int = 0,
-    ) -> Reply:
-        free = self._free[Reply]
-        if free:
-            msg = free.pop()
-            self.reused += 1
-            msg.arbiter = arbiter
-            msg.grantee = grantee
-            msg.forwarded_by = forwarded_by
-            msg.epoch = epoch
-            return msg
-        return Reply(arbiter, grantee, forwarded_by, epoch)
-
-    def new_fail(self, arbiter: SiteId, target: Priority) -> Fail:
-        free = self._free[Fail]
-        if free:
-            msg = free.pop()
-            self.reused += 1
-            msg.arbiter = arbiter
-            msg.target = target
-            return msg
-        return Fail(arbiter, target)
-
-    def new_inquire(
-        self, arbiter: SiteId, target: Priority, epoch: int = 0
-    ) -> Inquire:
-        free = self._free[Inquire]
-        if free:
-            msg = free.pop()
-            self.reused += 1
-            msg.arbiter = arbiter
-            msg.target = target
-            msg.epoch = epoch
-            return msg
-        return Inquire(arbiter, target, epoch)
-
-    def new_yield(self, yielder: Priority, epoch: int = 0) -> Yield:
-        free = self._free[Yield]
-        if free:
-            msg = free.pop()
-            self.reused += 1
-            msg.yielder = yielder
-            msg.epoch = epoch
-            return msg
-        return Yield(yielder, epoch)
-
-
-#: Process-wide pool instance; disarmed unless a runner arms it.
-pool = MessagePool()

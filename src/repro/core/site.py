@@ -61,7 +61,6 @@ from repro.core.messages import (
     Transfer,
     Yield,
 )
-from repro.core.messages import pool as _pool
 from repro.core.state import ArbiterState, RequesterState
 from repro.errors import ProtocolError
 from repro.mutex.base import DurationSpec, MutexSite, RunListener, SiteState
@@ -140,10 +139,12 @@ class CaoSinghalSite(MutexSite):
         self.max_seq_seen += 1
         priority = Priority(self.max_seq_seen, self.site_id)
         self.req.reset_for(priority, self.quorum)
-        # One frozen Request shared across the whole fanout: the message
-        # is an immutable value object, so every member can receive the
-        # same instance (saves |quorum|-1 allocations per CS cycle).
-        self.send_fanout(self._quorum_sorted, Request(priority))
+        # One Request shared across the whole fanout: the message is an
+        # immutable value object, so every member can receive the same
+        # instance (saves |quorum|-1 allocations per CS cycle).
+        request = Request(priority)
+        for member in self._quorum_sorted:
+            self.send(member, request)
 
     def _record_reply(self, msg: Reply) -> None:
         """Step A.6 plus the entry check of step B."""
@@ -209,12 +210,7 @@ class CaoSinghalSite(MutexSite):
         self.req.failed = True
         self.req.tran_stack.drop_arbiter(arbiter)
         epoch = self.req.grant_epoch.get(arbiter, 0)
-        msg = (
-            _pool.new_yield(self.req.priority, epoch)
-            if _pool.enabled
-            else Yield(self.req.priority, epoch)
-        )
-        self.send(arbiter, msg)
+        self.send(arbiter, Yield(self.req.priority, epoch))
 
     def _record_transfer(self, msg: Transfer) -> None:
         """Step A.5: accept a forwarding instruction if still relevant."""
@@ -276,12 +272,9 @@ class CaoSinghalSite(MutexSite):
                     f"arbiter {self.site_id} is free with a non-empty queue"
                 )
             arb.install(msg.priority)
-            reply = (
-                _pool.new_reply(self.site_id, msg.priority, None, arb.epoch)
-                if _pool.enabled
-                else Reply(self.site_id, msg.priority, None, arb.epoch)
+            self.send(
+                msg.priority.site, Reply(self.site_id, msg.priority, None, arb.epoch)
             )
-            self.send(msg.priority.site, reply)
             return
 
         newcomer = msg.priority
@@ -290,23 +283,13 @@ class CaoSinghalSite(MutexSite):
 
         # Rule 1: fail the newcomer unless it beats both lock and queue.
         if newcomer > arb.lock or (old_head is not None and newcomer > old_head):
-            fail = (
-                _pool.new_fail(self.site_id, newcomer)
-                if _pool.enabled
-                else Fail(self.site_id, newcomer)
-            )
-            self.send(newcomer.site, fail)
+            self.send(newcomer.site, Fail(self.site_id, newcomer))
 
         if becomes_head:
             # Rule 2: the displaced head learns it is no longer next —
             # unless it already failed on arrival (it beat nothing then).
             if old_head is not None and old_head < arb.lock:
-                fail = (
-                    _pool.new_fail(self.site_id, old_head)
-                    if _pool.enabled
-                    else Fail(self.site_id, old_head)
-                )
-                self.send(old_head.site, fail)
+                self.send(old_head.site, Fail(self.site_id, old_head))
             # Rule 3: instruct the lock holder, maybe asking it to yield.
             parts: List[object] = []
             if self.enable_transfer:
@@ -315,11 +298,7 @@ class CaoSinghalSite(MutexSite):
                 )
             inquire_outstanding = old_head is not None and old_head < arb.lock
             if newcomer < arb.lock and not inquire_outstanding:
-                parts.append(
-                    _pool.new_inquire(self.site_id, arb.lock, arb.epoch)
-                    if _pool.enabled
-                    else Inquire(self.site_id, arb.lock, arb.epoch)
-                )
+                parts.append(Inquire(self.site_id, arb.lock, arb.epoch))
             if parts:
                 self.send(
                     arb.lock.site, bundle_or_single(*parts), piggybacked=len(parts) > 1
@@ -346,11 +325,7 @@ class CaoSinghalSite(MutexSite):
         """Send ``reply`` to the new lock holder, piggybacking a transfer
         for the next-in-line when one exists (A.4 and C.2)."""
         arb = self.arbiter
-        parts: List[object] = [
-            _pool.new_reply(self.site_id, grantee, None, arb.epoch)
-            if _pool.enabled
-            else Reply(self.site_id, grantee, None, arb.epoch)
-        ]
+        parts: List[object] = [Reply(self.site_id, grantee, None, arb.epoch)]
         head = arb.req_queue.head()
         if head is not None and self.enable_transfer:
             parts.append(Transfer(head, self.site_id, grantee, arb.epoch))
@@ -435,22 +410,14 @@ class CaoSinghalSite(MutexSite):
             self._handle_request(message)
         elif cls is Reply:
             self._record_reply(message)
-            if _pool.enabled:
-                _pool.recycle(message)
         elif cls is Release:
             self._handle_release(src, message)
         elif cls is Inquire:
             self._record_inquire(message)
-            if _pool.enabled:
-                _pool.recycle(message)
         elif cls is Fail:
             self._record_fail(message)
-            if _pool.enabled:
-                _pool.recycle(message)
         elif cls is Yield:
             self._handle_yield(message)
-            if _pool.enabled:
-                _pool.recycle(message)
         elif cls is Transfer:
             self._record_transfer(message)
         else:

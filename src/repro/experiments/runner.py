@@ -11,12 +11,9 @@ the paper's theorems raises instead of returning numbers.
 from __future__ import annotations
 
 import gc
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Union
 
-from repro.core.messages import pool as _message_pool
 from repro.core.site import CaoSinghalSite
 from repro.errors import ConfigurationError
 from repro.metrics.collector import MetricsCollector
@@ -171,27 +168,11 @@ def run_mutex(
 
     ``loop`` optionally replaces the kernel main loop: it is called as
     ``loop(sim, until=..., max_events=...)`` and must drain the run. The
-    observability layer uses this to drive the run through the
-    instrumented (timing) loop; the default is the plain hot path.
+    observability layer uses this to pass a timing observer to
+    :meth:`Simulator.run`; the default is ``sim.run`` with none.
     """
     sim, sites, collector, quorum_system, _ = build_run(config)
     sim.start()
-    # Opt-in message recycling (REPRO_MSG_POOL=1): only sound when every
-    # delivered message is consumed on delivery — no trace retaining
-    # payloads, no fault-model duplicates, no transport buffering — and
-    # the pool is process-global, so never armed off the main thread
-    # (the threaded trial engine runs several sims at once).
-    arm_pool = (
-        os.environ.get("REPRO_MSG_POOL") == "1"
-        and not _message_pool.enabled
-        and not sim.trace.enabled
-        and config.fault_model is None
-        and config.reliable is None
-        and config.chaos is None
-        and threading.current_thread() is threading.main_thread()
-    )
-    if arm_pool:
-        _message_pool.arm()
     # Suppress cyclic GC for the duration of the main loop: the kernel
     # churns through short-lived events/messages that reference counting
     # reclaims on its own, and collector pauses otherwise land mid-run.
@@ -206,8 +187,6 @@ def run_mutex(
         else:
             loop(sim, until=config.max_time, max_events=config.max_events)
     finally:
-        if arm_pool:
-            _message_pool.disarm()
         if gc_was_enabled:
             gc.enable()
             gc.collect()

@@ -123,15 +123,18 @@ class MaekawaSite(MutexSite):
         self.locked_from.clear()
         self.failed = False
         self.inq_pending.clear()
-        # One frozen request shared across the whole fanout.
-        self.send_fanout(self._quorum_sorted, MkRequest(self.my_request))
+        # One request shared across the whole fanout.
+        request = MkRequest(self.my_request)
+        for member in self._quorum_sorted:
+            self.send(member, request)
 
     def _exit_protocol(self) -> None:
         assert self.my_request is not None
         release = MkRelease(self.my_request)
         self.my_request = None
         self.inq_pending.clear()
-        self.send_fanout(self._quorum_sorted, release)
+        for member in self._quorum_sorted:
+            self.send(member, release)
 
     def _handle_locked(self, msg: MkLocked) -> None:
         if self.my_request is None or msg.grantee != self.my_request:

@@ -2,15 +2,14 @@
 
 Two observability primitives over a live simulation, both strictly
 additive — neither is touched unless explicitly invoked, so a run with
-profiling disabled executes the exact PR-2 hot path and keeps the golden
-kernel fingerprints byte-for-byte:
+profiling disabled keeps the golden kernel fingerprints byte-for-byte:
 
 * :func:`snapshot` — a point-in-time dict of every kernel counter: the
   network's aggregate and per-site/per-type counters, the reliable
   transport's totals and per-channel windows, and per-site protocol
   progress (completed CS executions, backlog, lifecycle state).
-* :class:`LoopProfiler` — drives the run through
-  :meth:`~repro.sim.simulator.Simulator.run_instrumented`, timing each
+* :class:`LoopProfiler` — passes itself as the ``observer`` of
+  :meth:`~repro.sim.simulator.Simulator.run`, timing each
   event callback by its schedule label (``cs-hold``, ``rto``,
   ``ack-delay``, per-message delivery labels, ...). The event *history*
   is identical to a normal run — only wall-clock timing is added — so
@@ -69,7 +68,7 @@ class LoopProfiler:
         self.events = 0
         self.total_seconds = 0.0
 
-    # -- the observer fed to run_instrumented -----------------------------
+    # -- the observer fed to Simulator.run --------------------------------
 
     def observe(self, label: str, elapsed: float) -> None:
         self.events += 1
@@ -91,7 +90,7 @@ class LoopProfiler:
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> None:
-        sim.run_instrumented(self.observe, until=until, max_events=max_events)
+        sim.run(until=until, max_events=max_events, observer=self.observe)
 
     # -- reporting ---------------------------------------------------------
 

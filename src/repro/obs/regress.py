@@ -195,6 +195,13 @@ def _extract_lock_chaos(payload: Dict[str, Any]) -> Dict[str, float]:
     }
 
 
+def _extract_explore(payload: Dict[str, Any]) -> Dict[str, float]:
+    return {
+        f"{section}/states_per_sec": float(payload[section]["states_per_sec"])
+        for section in ("throughput", "fault_grid_n9")
+    }
+
+
 def _chaos_spec(metric: str) -> MetricSpec:
     if metric.endswith("/throughput"):
         return MetricSpec(direction="higher")
@@ -217,6 +224,7 @@ BENCHMARKS: Dict[str, Tuple[Extractor, Any]] = {
         },
     ),
     "chaos_resilience": (_extract_chaos, _chaos_spec),
+    "explore": (_extract_explore, lambda metric: MetricSpec(direction="higher")),
     "parallel_engine": (
         _extract_parallel,
         {"sync_delay_mean_t": MetricSpec(direction="lower")},

@@ -18,28 +18,15 @@ as ``(fn, args)`` — scheduling a call site this way costs one small
 object, where the previous kernel paid for an ordered dataclass (with its
 ``__dict__``) plus a capturing closure per event.
 
-Cohort draining
----------------
-:meth:`EventQueue.pop_cohort` removes *every* live event due at the
-earliest due time in one heap pass. The simulator main loop executes the
-returned cohort in a tight inner loop, touching the clock once per
-cohort instead of once per event. Events fired from inside a cohort that
-schedule at the *same* instant (zero-delay self-sends) land in the heap
-with larger sequence numbers and come back as the next cohort at the
-same timestamp — execution order is exactly the per-event ``(time,
-seq)`` order, so cohort execution is byte-identical to the one-at-a-time
-loop by construction.
-
-Popping (by any method) detaches the event from the queue, so a
-``cancel()`` issued *after* the pop — e.g. by an earlier event of the
-same cohort — only flags the event (the executor skips it) and never
-touches the live-count again.
+Popping detaches the event from the queue, so a ``cancel()`` issued
+*after* the pop only flags the event and never touches the live count
+again.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -75,8 +62,7 @@ class Event:
         self.args = args
         #: Human-readable tag used by traces and error messages.
         self.label = label
-        #: Cancelled events stay in the heap but are skipped on pop, and
-        #: skipped by the cohort executor when cancelled after the pop.
+        #: Cancelled events stay in the heap but are skipped on pop.
         self.cancelled = False
         #: Owning queue while the event sits in the heap; popping clears
         #: it, so a late cancel() never double-decrements the live count.
@@ -91,9 +77,7 @@ class Event:
 
         Idempotent. While the event is still queued the owning queue's
         live count drops immediately, so ``len(queue)`` never counts
-        cancelled timers; an event already popped (e.g. sitting in the
-        currently executing cohort) is only flagged — the executor checks
-        the flag right before firing.
+        cancelled timers; an event already popped is only flagged.
         """
         if self.cancelled:
             return
@@ -161,20 +145,13 @@ class EventQueue:
         """Called by :meth:`Event.cancel` to keep the live count exact."""
         self._live -= 1
 
-    def pop(self) -> Optional[Event]:
-        """Return the earliest live event, or ``None`` if the queue is empty.
-
-        Cancelled events encountered on the way are discarded silently.
-        """
-        return self.pop_due(None)
-
-    def pop_due(self, limit: Optional[float]) -> Optional[Event]:
+    def pop_due(self, limit: Optional[float] = None) -> Optional[Event]:
         """Pop the earliest live event with ``time <= limit``.
 
         Returns ``None`` when the queue is empty or the next live event
         fires after ``limit`` (which is then left in place). ``limit=None``
-        means no bound. One kernel call per event: peek, bound-check, and
-        pop in one pass (the per-event fallback of :meth:`pop_cohort`).
+        means no bound. Cancelled events encountered on the way are
+        discarded silently.
         """
         heap = self._heap
         while heap:
@@ -194,80 +171,6 @@ class EventQueue:
             # cancellation bookkeeping broke.
             raise SimulationError("event queue accounting is corrupt")
         return None
-
-    def pop_cohort(
-        self, limit: Optional[float] = None, out: Optional[List[Event]] = None
-    ) -> List[Event]:
-        """Drain every live event due at the earliest due time ``<= limit``.
-
-        One heap pass removes the whole same-timestamp cohort, in ``(time,
-        seq)`` order; cancelled entries encountered on the way are
-        discarded. Returns the (possibly empty) cohort — empty means the
-        queue is drained or the next live event lies beyond ``limit``.
-        Passing ``out`` reuses the caller's list as the cohort buffer
-        (cleared first), so a hot loop allocates nothing per cohort.
-
-        Events in the returned cohort are already detached from the
-        queue: the executor must re-check :attr:`Event.cancelled` before
-        firing each one, because an earlier cohort member may cancel a
-        later one (lazy cancellation inside a cohort).
-        """
-        if out is None:
-            out = []
-        else:
-            del out[:]
-        heap = self._heap
-        pop = heappop
-        while heap:
-            head = heap[0]
-            event: Event = head[2]
-            if event.cancelled:
-                pop(heap)
-                continue
-            time = head[0]
-            if limit is not None and time > limit:
-                return out
-            pop(heap)
-            event._queue = None
-            out.append(event)
-            drained = 1
-            # Drain the rest of the cohort, discarding cancelled entries
-            # lazily (regardless of their timestamp).
-            while heap:
-                head = heap[0]
-                event = head[2]
-                if event.cancelled:
-                    pop(heap)
-                    continue
-                if head[0] != time:
-                    break
-                pop(heap)
-                event._queue = None
-                out.append(event)
-                drained += 1
-            self._live -= drained
-            return out
-        if self._live:
-            raise SimulationError("event queue accounting is corrupt")
-        return out
-
-    def requeue(self, events: List[Event]) -> None:
-        """Put popped-but-unfired events back, preserving their identity.
-
-        Used by the simulator when a cohort's execution stops early (an
-        event callback raised, or ``max_events`` ran out mid-cohort): the
-        remaining events re-enter the heap under their *original* ``(time,
-        seq)`` keys, so a later run continues exactly where the one-at-a-
-        time loop would have. Cancelled events are dropped (their live
-        count was already settled by :meth:`Event.cancel`).
-        """
-        heap = self._heap
-        for event in events:
-            if event.cancelled:
-                continue
-            heappush(heap, (event.time, event.seq, event))
-            event._queue = self
-            self._live += 1
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the next live event without popping it."""

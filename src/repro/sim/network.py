@@ -345,14 +345,6 @@ class NetworkStats:
         }
 
 
-#: Signature of the simulator's delivery callback: ``(src, dst, payload)``.
-#: The former ``Envelope`` dataclass was inlined into the event payload —
-#: a message in flight is now the scheduled call
-#: ``Network._deliver(src, dst, payload, latency)``, saving one allocation
-#: and two attribute indirections per message.
-DeliverCallback = Callable[[SiteId, SiteId, Any], None]
-
-
 class Network:
     """Fully connected FIFO network with pluggable per-message delays.
 
@@ -377,12 +369,10 @@ class Network:
         "_schedule",
         "_now",
         "_last_delivery",
-        "_deliver_cb",
         "_deliver_fn",
         "_crashed",
         "_incarnation",
         "_severed",
-        "_ever_faulted",
         "_faults",
         "_fault_rng",
         "_burst_bad",
@@ -400,6 +390,7 @@ class Network:
         rng: random.Random,
         schedule: Callable[..., Any],
         now: Callable[[], float],
+        deliver: Callable[..., None],
         fault_model: Optional[FaultModel] = None,
         fault_rng: Optional[random.Random] = None,
     ) -> None:
@@ -422,12 +413,10 @@ class Network:
         self._schedule = schedule
         self._now = now
         self._last_delivery: Dict[Tuple[SiteId, SiteId], float] = {}
-        self._deliver_cb: Optional[DeliverCallback] = None
-        #: The callback scheduled for each due message. Defaults to the
-        #: layered :meth:`_deliver` (drop checks here, then the delivery
-        #: callback); the simulator replaces it with its fused
-        #: ``_deliver_event`` so a due message costs one Python call.
-        self._deliver_fn: Callable[..., None] = self._deliver
+        #: Scheduled once per due message as ``deliver(src, dst, payload,
+        #: latency, inc)``; it owns the delivery-time drop checks and the
+        #: delivered/latency accounting (``Simulator._deliver_event``).
+        self._deliver_fn = deliver
         self._crashed: Set[SiteId] = set()
         #: Per-site crash count. A message in flight remembers its
         #: sender's incarnation at send time; a mismatch at delivery time
@@ -435,10 +424,6 @@ class Network:
         #: drop the message — even if the sender has already recovered.
         self._incarnation: Dict[SiteId, int] = {}
         self._severed: Set[Tuple[SiteId, SiteId]] = set()
-        #: Latched True by the first :meth:`crash` or :meth:`sever` and
-        #: never cleared; while False, every delivery-time drop check is
-        #: vacuous, which the simulator's fast delivery path exploits.
-        self._ever_faulted = False
         if fault_model is not None and fault_rng is None:
             raise ConfigurationError(
                 "a fault model needs its own RNG stream (fault_rng)"
@@ -460,20 +445,6 @@ class Network:
         """Mean one-way latency ``T`` of the configured delay model."""
         return self._mean_delay
 
-    def on_deliver(self, callback: DeliverCallback) -> None:
-        """Register the single delivery callback (set by the simulator)."""
-        self._deliver_cb = callback
-
-    def set_deliver_event(self, fn: Callable[..., None]) -> None:
-        """Install a fused due-message callback (simulator optimization).
-
-        ``fn(src, dst, payload, latency, inc)`` replaces the layered
-        :meth:`_deliver` → delivery-callback chain for every subsequently
-        scheduled message. The caller owns replicating :meth:`_deliver`'s
-        drop checks and accounting in the exact same order.
-        """
-        self._deliver_fn = fn
-
     # -- failure injection -------------------------------------------------
 
     def crash(self, site: SiteId) -> None:
@@ -485,7 +456,6 @@ class Network:
         the site's incarnation, so its pre-crash traffic can never
         arrive late, not even after the site recovers.
         """
-        self._ever_faulted = True
         self._crashed.add(site)
         self._incarnation[site] = self._incarnation.get(site, 0) + 1
 
@@ -495,7 +465,6 @@ class Network:
 
     def sever(self, a: SiteId, b: SiteId) -> None:
         """Cut the bidirectional link between ``a`` and ``b``."""
-        self._ever_faulted = True
         self._severed.add((a, b))
         self._severed.add((b, a))
 
@@ -565,8 +534,6 @@ class Network:
         constant for the duration of one event callback), skipping the
         clock-callable indirection on the hot path.
         """
-        if self._deliver_cb is None:
-            raise SimulationError("network has no delivery callback installed")
         if src == dst:
             raise SimulationError(
                 "self-delivery must be handled locally by the node layer, "
@@ -665,113 +632,3 @@ class Network:
                 type_name,
             )
         return deliver_at
-
-    def send_many(
-        self,
-        src: SiteId,
-        dsts: Any,
-        payload: Any,
-        type_name: str,
-        piggybacked: bool = False,
-        now: Optional[float] = None,
-    ) -> None:
-        """Batch delivery path: one payload to several destinations.
-
-        Semantically identical to calling :meth:`send` once per
-        destination, in order — same per-channel delay samples (drawn in
-        destination order from the same RNG), same FIFO clamps, same
-        counters — but the clock, stats dicts, and scheduler are bound
-        once per batch instead of once per message, and consecutive sends
-        to the same destination reuse the bound channel state. This is
-        the quorum-broadcast fast path (a requester asks every member of
-        its ``req_set`` in one call).
-
-        With a fault model installed the batch degrades to per-message
-        :meth:`send` calls so every fault decision consumes the fault RNG
-        stream in the exact order of the unbatched path.
-        """
-        if self._faults is not None:
-            for dst in dsts:
-                self.send(src, dst, payload, type_name, piggybacked, now)
-            return
-        if self._deliver_cb is None:
-            raise SimulationError("network has no delivery callback installed")
-        stats = self.stats
-        crashed = self._crashed
-        severed = self._severed
-        check_drop = bool(crashed or severed)
-        by_type = stats.by_type
-        by_destination = stats.by_destination
-        if now is None:
-            now = self._now()
-        low = self._uniform_low
-        span = self._uniform_span
-        rng_random = self._rng_random
-        sample = self._sample
-        rng = self._rng
-        last_delivery = self._last_delivery
-        schedule = self._schedule
-        deliver_fn = self._deliver_fn
-        inc = self._incarnation.get(src, 0) if self._incarnation else 0
-        sent = 0
-        for dst in dsts:
-            if src == dst:
-                raise SimulationError(
-                    "self-delivery must be handled locally by the node layer, "
-                    f"site {src} tried to send {type_name} to itself"
-                )
-            if check_drop and (
-                src in crashed or dst in crashed or (src, dst) in severed
-            ):
-                stats.messages_dropped += 1
-                continue
-            sent += 1
-            by_type[type_name] = by_type.get(type_name, 0) + 1
-            by_destination[dst] = by_destination.get(dst, 0) + 1
-            if low is not None:
-                delay = low + span * rng_random()
-            else:
-                delay = sample(rng, src, dst)
-                if delay <= 0:
-                    raise SimulationError(
-                        f"delay model produced non-positive delay {delay}"
-                    )
-            deliver_at = now + delay
-            channel = (src, dst)
-            prev = last_delivery.get(channel)
-            if prev is not None:
-                fifo_floor = prev + 1e-9  # FIFO_EPSILON
-                if deliver_at < fifo_floor:
-                    deliver_at = fifo_floor
-            last_delivery[channel] = deliver_at
-            schedule(
-                deliver_at,
-                deliver_fn,
-                (src, dst, payload, deliver_at - now, inc),
-                type_name,
-            )
-        stats.messages_sent += sent
-
-    def _deliver(
-        self,
-        src: SiteId,
-        dst: SiteId,
-        payload: Any,
-        latency: float,
-        inc: int = 0,
-    ) -> None:
-        """Hand a due message to the delivery callback unless dropped."""
-        if self._crashed and (dst in self._crashed or src in self._crashed):
-            self.stats.messages_dropped += 1
-            return
-        if self._incarnation and inc != self._incarnation.get(src, 0):
-            # Sent before the source's fail-stop crash: lost for good.
-            self.stats.messages_dropped += 1
-            return
-        if self._severed and (src, dst) in self._severed:
-            self.stats.messages_dropped += 1
-            return
-        stats = self.stats
-        stats.messages_delivered += 1
-        stats.total_latency += latency
-        self._deliver_cb(src, dst, payload)

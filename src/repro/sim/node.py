@@ -41,17 +41,12 @@ class Node:
     slotted.
     """
 
-    __slots__ = ("site_id", "_sim", "crashed", "_net_send")
+    __slots__ = ("site_id", "_sim", "crashed")
 
     def __init__(self, site_id: SiteId) -> None:
         self.site_id = site_id
         self._sim: Optional["Substrate"] = None
         self.crashed = False
-        #: Direct raw-network send, bound by the simulator at start() when
-        #: no transport is installed (``None`` = route through
-        #: ``substrate.send``). A pure fast path: both routes are the
-        #: same code with one fewer call frame.
-        self._net_send: Optional[Callable[..., Any]] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -66,16 +61,10 @@ class Node:
         Named ``sim`` for historical reasons — the discrete-event
         simulator was the only substrate for most of this repo's life —
         and kept because every algorithm reads ``self.sim.trace`` etc.
-        :attr:`substrate` is the self-describing alias.
         """
         if self._sim is None:
             raise RuntimeError(f"node {self.site_id} is not bound to a substrate")
         return self._sim
-
-    @property
-    def substrate(self) -> "Substrate":
-        """Alias for :attr:`sim` under its substrate-era name."""
-        return self.sim
 
     @property
     def now(self) -> float:
@@ -105,49 +94,7 @@ class Node:
             )
             return
         type_name = getattr(message, "type_name", None) or type(message).__name__
-        net_send = self._net_send
-        if net_send is not None:
-            net_send(self.site_id, dst, message, type_name, piggybacked, sim._now)
-            return
         sim.send(self.site_id, dst, message, type_name, piggybacked)
-
-    def send_fanout(self, dsts: Any, message: Any) -> None:
-        """Send ``message`` to every site in ``dsts``, in order.
-
-        Equivalent to calling :meth:`send` once per destination —
-        self-sends still become zero-delay local deliveries, scheduled in
-        their exact position within the fanout so event sequence numbers
-        (and therefore run fingerprints) match the unbatched loop — but
-        the crash check and ``type_name`` lookup happen once, and
-        contiguous runs of remote destinations go through the substrate's
-        batched ``send_many`` path when it offers one.
-        """
-        if self.crashed:
-            return
-        sim = self.sim
-        send_many = getattr(sim, "send_many", None)
-        me = self.site_id
-        type_name = getattr(message, "type_name", None) or type(message).__name__
-        if send_many is None:
-            # Substrate without a batch path: fall back to the plain
-            # per-destination send, which honours subclass overrides
-            # (the explorer's channel mixin) and transport routing.
-            for dst in dsts:
-                self.send(dst, message)
-            return
-        run_start = 0
-        for i, dst in enumerate(dsts):
-            if dst == me:
-                if run_start < i:
-                    send_many(me, dsts[run_start:i], message, type_name, False)
-                run_start = i + 1
-                sim.schedule_call(
-                    0.0, sim.deliver_local, (dst, message), "self-deliver"
-                )
-        if run_start == 0:
-            send_many(me, dsts, message, type_name, False)
-        elif run_start < len(dsts):
-            send_many(me, dsts[run_start:], message, type_name, False)
 
     def set_timer(
         self, delay: float, action: Callable[[], None], label: str = "timer"

@@ -24,6 +24,7 @@ convenience wrapper.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.errors import SimulationError
@@ -51,7 +52,6 @@ class Simulator:
         "trace",
         "network",
         "transport",
-        "_plain_delivery",
         "events_processed",
         "last_event_time",
     )
@@ -84,13 +84,13 @@ class Simulator:
         # RNG usage untouched.
         # The network schedules deliveries straight onto the event queue:
         # ``deliver_at`` is always >= now (positive delays, and the FIFO
-        # floor only pushes times later), so the past-check in
-        # :meth:`_schedule_at` can never fire and is skipped.
+        # floor only pushes times later), so no past-check is needed.
         self.network = Network(
             delay_model=delay_model or UniformDelay(0.5, 1.5),
             rng=self.seeds.derive("network"),
             schedule=self._queue.push,
             now=lambda: self._now,
+            deliver=self._deliver_event,
             fault_model=fault_model,
             fault_rng=(
                 self.seeds.derive(f"faults#{fault_model.chaos_seed}")
@@ -98,19 +98,9 @@ class Simulator:
                 else None
             ),
         )
-        self.network.on_deliver(self._dispatch)
-        # Fused delivery: the network schedules this simulator method
-        # directly for due messages, collapsing the former two-hop
-        # ``Network._deliver`` → ``Simulator._dispatch`` chain into one
-        # callback per message. The checks run in the exact order of the
-        # two-hop path, so drop accounting and traces are byte-identical.
-        self.network.set_deliver_event(self._deliver_event)
         #: Optional reliable-channel layer (see :meth:`install_transport`);
         #: ``None`` means nodes talk straight to the raw network.
         self.transport: Optional["ReliableTransport"] = None
-        #: True once start() has established that deliveries need no
-        #: transport hop and no trace record (fast-path precondition).
-        self._plain_delivery = False
         #: Number of events processed so far (cheap progress/health metric).
         self.events_processed = 0
         #: Time of the most recently processed event. Unlike :attr:`now`,
@@ -154,18 +144,6 @@ class Simulator:
         if self._started:
             return
         self._started = True
-        # Deliveries may take the check-free fast path only when nothing
-        # sits between the network and the node callback (see
-        # :meth:`_deliver_event`); both conditions are fixed by start time.
-        self._plain_delivery = self.transport is None and not self.trace.enabled
-        if self.transport is None:
-            # No reliable-channel layer: nodes may talk straight to the
-            # raw network, skipping the per-send transport check in
-            # :meth:`send`. The fast path is bound per node here because
-            # transports can only be installed before start().
-            network_send = self.network.send
-            for node in self.nodes.values():
-                node._net_send = network_send
         for node in self.nodes.values():
             node.on_start()
 
@@ -204,20 +182,6 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self._queue.push(self._now + delay, fn, args, label)
 
-    def _schedule_at(
-        self,
-        time: float,
-        fn: Callable[..., None],
-        args: Tuple[Any, ...] = (),
-        label: str = "",
-    ) -> Event:
-        """Absolute-time scheduling used by the network layer."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
-            )
-        return self._queue.push(time, fn, args, label)
-
     # -- substrate send path ---------------------------------------------------
 
     def send(
@@ -231,37 +195,14 @@ class Simulator:
         """Accept one protocol message from a node (substrate interface).
 
         Routes through the reliable-channel transport when one is
-        installed, else straight to the raw network — the transport
-        selection that used to live in :meth:`repro.sim.node.Node.send`,
-        hoisted here so nodes depend only on the substrate interface.
+        installed, else straight to the raw network, so nodes depend only
+        on the substrate interface.
         """
         transport = self.transport
         if transport is not None:
             transport.send(src, dst, message, type_name, piggybacked)
             return
         self.network.send(src, dst, message, type_name, piggybacked, self._now)
-
-    def send_many(
-        self,
-        src: SiteId,
-        dsts: Any,
-        message: Any,
-        type_name: str,
-        piggybacked: bool = False,
-    ) -> None:
-        """Accept one protocol message addressed to several sites.
-
-        The batched counterpart of :meth:`send`, used for quorum
-        broadcasts. With a transport installed it degrades to one
-        transport send per destination (channels are stateful); on the
-        raw network it takes :meth:`Network.send_many`'s batch path.
-        """
-        transport = self.transport
-        if transport is not None:
-            for dst in dsts:
-                transport.send(src, dst, message, type_name, piggybacked)
-            return
-        self.network.send_many(src, dsts, message, type_name, piggybacked, self._now)
 
     def raw_send(
         self,
@@ -285,26 +226,6 @@ class Simulator:
 
     # -- delivery ------------------------------------------------------------
 
-    def _dispatch(self, src: SiteId, dst: SiteId, payload: Any) -> None:
-        """Deliver a message to its destination node."""
-        node = self.nodes.get(dst)
-        if node is None:
-            raise SimulationError(f"message addressed to unknown site {dst}")
-        if node.crashed:
-            self.network.stats.messages_dropped += 1
-            return
-        transport = self.transport
-        if transport is not None:
-            # Raw network frames are transport segments; the transport
-            # unwraps, dedups, and re-orders, then hands the protocol
-            # payloads back through deliver_protocol.
-            transport.on_network_deliver(src, dst, payload)
-            return
-        trace = self.trace
-        if trace.enabled:
-            trace.record(self._now, "deliver", dst, payload)
-        node.on_message(src, payload)
-
     def _deliver_event(
         self,
         src: SiteId,
@@ -313,36 +234,17 @@ class Simulator:
         latency: float,
         inc: int = 0,
     ) -> None:
-        """Fused due-message delivery (network drop checks + node dispatch).
+        """Deliver one due message; the callback :meth:`Network.send` schedules.
 
-        Scheduled by :meth:`Network.send` in place of the two-hop
-        ``Network._deliver`` → :meth:`_dispatch` chain. Every check runs in
-        the same order as the layered path: network-level drops (crash,
-        incarnation, severed link) first, then delivered/latency
-        accounting, then node-level dispatch — so all counters, traces,
-        and error paths are byte-identical, one Python call cheaper.
-
-        Fast path: while no crash or link cut has *ever* happened
-        (``Network._ever_faulted``), every network-level drop check is
-        vacuously false — the crashed/severed/incarnation tables are all
-        empty — so a plain run (no transport, no trace) skips straight to
-        the counters and the node callback. The flag latches one way
-        (recover/heal never clear it), so in-flight messages sent before
-        the first fault are still drop-checked after it.
+        Network-level drops come first (crashed endpoint, a sender that
+        crashed since the send — fail-stop, even if it has recovered —
+        severed link), then the delivered/latency accounting, then the
+        node-level dispatch: through the transport when one is installed
+        (raw frames are transport segments; it unwraps, dedups, re-orders
+        and hands protocol payloads back via :meth:`deliver_protocol`),
+        else traced and handed to the node.
         """
         network = self.network
-        if self._plain_delivery and not network._ever_faulted:
-            stats = network.stats
-            stats.messages_delivered += 1
-            stats.total_latency += latency
-            node = self.nodes.get(dst)
-            if node is None:
-                raise SimulationError(f"message addressed to unknown site {dst}")
-            if node.crashed:
-                stats.messages_dropped += 1
-                return
-            node.on_message(src, payload)
-            return
         stats = network.stats
         if network._crashed and (dst in network._crashed or src in network._crashed):
             stats.messages_dropped += 1
@@ -420,35 +322,29 @@ class Simulator:
 
     def step(self) -> bool:
         """Process one event. Returns False when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self._now:
-            raise SimulationError("time went backwards")
-        self._now = event.time
-        self.last_event_time = event.time
-        self.events_processed += 1
-        event.fn(*event.args)
-        return True
+        before = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed > before
 
     def run(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
+        observer: Optional[Callable[[str, float], None]] = None,
     ) -> None:
         """Run until the event queue drains, ``until`` is reached, or
         ``max_events`` further events have been processed.
 
         ``until`` is inclusive: events scheduled exactly at ``until`` fire.
+        Events fire one at a time in ``(time, seq)`` order, so an event
+        scheduled at the current instant from inside a callback fires
+        after everything already queued for that instant.
 
-        The loop executes whole same-timestamp *cohorts*
-        (:meth:`EventQueue.pop_cohort`): the clock is written once per
-        cohort instead of once per event, and the heap is only consulted
-        between cohorts. Events scheduled at the current instant from
-        inside a cohort form the *next* cohort at the same timestamp
-        (their sequence numbers are strictly larger), so the fired order
-        is exactly the per-event ``(time, seq)`` order — cohort execution
-        replays the same history byte-for-byte.
+        ``observer(label, elapsed_seconds)``, when given, is called once
+        per processed event with the event's schedule label and its
+        wall-clock callback duration — the hook the opt-in profiler in
+        :mod:`repro.obs.profile` aggregates. The event history is the
+        same with or without it.
 
         Clock semantics: when ``until`` is given and the loop stops because
         the queue drained *or* the next event lies beyond ``until``, the
@@ -456,145 +352,34 @@ class Simulator:
         ``sim.now`` always equals ``until`` afterwards). When the loop
         stops because ``max_events`` ran out, the clock stays at the last
         processed event — the run is mid-flight, not "caught up to"
-        ``until``. If a callback raises, the unfired remainder of its
-        cohort is requeued (original times and sequence numbers) before
-        the exception propagates, so the queue still holds every pending
-        event.
+        ``until``. If a callback raises, every event not yet fired is
+        still queued and the counters include the raising event.
         """
-        pop_cohort = self._queue.pop_cohort
-        budget = max_events
+        pop_due = self._queue.pop_due
+        # -1 never equals the processed count, i.e. no budget.
+        budget = -1 if max_events is None else max(max_events, 0)
         processed = 0
         caught_up = True
-        buf: list = []
-        cohort: list = buf
-        event: Optional[Event] = None
         try:
-            if budget is None:
-                while True:
-                    event = None
-                    cohort = pop_cohort(until, buf)
-                    if not cohort:
-                        break
-                    self._now = cohort[0].time
-                    for event in cohort:
-                        # Re-check: an earlier cohort member may have
-                        # cancelled this one after it was popped.
-                        if event.cancelled:
-                            continue
-                        processed += 1
-                        event.fn(*event.args)
-            else:
-                while True:
-                    if budget <= 0:
-                        # Budget ran out mid-flight: clock stays put.
-                        caught_up = False
-                        break
-                    event = None
-                    cohort = pop_cohort(until, buf)
-                    if not cohort:
-                        break
-                    self._now = cohort[0].time
-                    if budget >= len(cohort):
-                        # Whole cohort fits in the budget (cancelled
-                        # members never consume budget, so live count
-                        # <= len(cohort) is a safe bound).
-                        before = processed
-                        for event in cohort:
-                            if event.cancelled:
-                                continue
-                            processed += 1
-                            event.fn(*event.args)
-                        budget -= processed - before
-                    else:
-                        # Budget may run out mid-cohort: fire one at a
-                        # time and requeue the unfired tail.
-                        for idx, event in enumerate(cohort):
-                            if event.cancelled:
-                                continue
-                            if budget <= 0:
-                                caught_up = False
-                                self._queue.requeue(cohort[idx:])
-                                break
-                            budget -= 1
-                            processed += 1
-                            event.fn(*event.args)
-                        event = None
-                        if not caught_up:
-                            break
-        except BaseException:
-            # A callback raised: put the unfired tail of the current
-            # cohort back so the queue stays complete.
-            if event is not None:
-                pos = cohort.index(event)
-                self._queue.requeue(cohort[pos + 1 :])
-            raise
+            while True:
+                if processed == budget:
+                    # Budget ran out mid-flight: clock stays put.
+                    caught_up = False
+                    break
+                event = pop_due(until)
+                if event is None:
+                    break
+                self._now = event.time
+                processed += 1
+                if observer is None:
+                    event.fn(*event.args)
+                else:
+                    start = perf_counter()
+                    event.fn(*event.args)
+                    observer(event.label, perf_counter() - start)
         finally:
             # Keep the counters truthful even when a callback raises; at
             # this point _now is still the last processed event's time.
-            self.events_processed += processed
-            if processed:
-                self.last_event_time = self._now
-        if caught_up and until is not None and until > self._now:
-            self._now = until
-
-    def run_instrumented(
-        self,
-        observer: Callable[[str, float], None],
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Like :meth:`run`, but time every event callback.
-
-        ``observer(label, elapsed_seconds)`` is called once per processed
-        event with the event's schedule label and its wall-clock callback
-        duration — the hook the opt-in profiler in
-        :mod:`repro.obs.profile` aggregates. A separate method (rather
-        than a branch in :meth:`run`) so the default loop stays exactly
-        the hot path the benchmark measures; both loops execute the same
-        cohorts and process the identical event history for a given seed.
-        """
-        import time as _time
-
-        perf = _time.perf_counter
-        pop_cohort = self._queue.pop_cohort
-        budget = max_events
-        processed = 0
-        caught_up = True
-        buf: list = []
-        cohort: list = buf
-        event: Optional[Event] = None
-        try:
-            while True:
-                if budget is not None and budget <= 0:
-                    caught_up = False
-                    break
-                event = None
-                cohort = pop_cohort(until, buf)
-                if not cohort:
-                    break
-                self._now = cohort[0].time
-                for idx, event in enumerate(cohort):
-                    if event.cancelled:
-                        continue
-                    if budget is not None:
-                        if budget <= 0:
-                            caught_up = False
-                            self._queue.requeue(cohort[idx:])
-                            break
-                        budget -= 1
-                    processed += 1
-                    start = perf()
-                    event.fn(*event.args)
-                    observer(event.label, perf() - start)
-                event = None
-                if not caught_up:
-                    break
-        except BaseException:
-            if event is not None:
-                pos = cohort.index(event)
-                self._queue.requeue(cohort[pos + 1 :])
-            raise
-        finally:
             self.events_processed += processed
             if processed:
                 self.last_event_time = self._now

@@ -204,7 +204,6 @@ def _clone_site(site, fake_sim: _FakeSim, listener: _SafetyListener):
     new.site_id = site.site_id
     new._sim = fake_sim
     new.crashed = site.crashed
-    new._net_send = site._net_send
     # MutexSite
     new._cs_duration = site._cs_duration
     new.listener = listener

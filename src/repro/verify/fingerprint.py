@@ -52,8 +52,8 @@ def fingerprint_run(config: RunConfig, loop=None) -> Dict[str, object]:
 
     ``loop`` is forwarded to :func:`run_mutex`, which lets the
     equivalence suite fingerprint the same configuration through an
-    alternative main loop (e.g. one-event-at-a-time ``sim.step()``)
-    and prove it byte-identical to the cohort loop.
+    alternative main loop (e.g. repeated ``sim.step()``) and prove it
+    byte-identical to ``sim.run()``.
     """
     result = run_mutex(config, loop)
     summary_json = json.dumps(result.summary.to_dict(), sort_keys=True)

@@ -31,7 +31,7 @@ def test_pop_order_is_exactly_time_then_seq(times):
     handles = [q.push(t, lambda: None) for t in times]
     expected = sorted(range(len(times)), key=lambda i: (times[i], handles[i].seq))
     popped = []
-    while (event := q.pop()) is not None:
+    while (event := q.pop_due()) is not None:
         popped.append(event.seq)
     assert popped == [handles[i].seq for i in expected]
 
@@ -73,43 +73,26 @@ class EventQueueMachine(RuleBasedStateMachine):
         expected = min(
             ((h.time, h.seq) for h in self.live.values()), default=None
         )
-        event = self.queue.pop()
+        event = self.queue.pop_due()
         if expected is None:
             assert event is None
         else:
             assert (event.time, event.seq) == expected
             del self.live[event.seq]
 
-    @rule(bound=st.one_of(st.none(), st.floats(0.0, 100.0, allow_nan=False)))
-    def pop_cohort_drains_earliest_timestamp(self, bound):
-        # The cohort must be exactly the model's live events at the
-        # minimum live time <= bound, in seq order — and nothing else.
-        live = self.live.values()
-        min_time = min((h.time for h in live), default=None)
-        if min_time is None or (bound is not None and min_time > bound):
-            expected = []
+    @rule(bound=st.floats(0.0, 100.0, allow_nan=False))
+    def pop_due_respects_bound(self, bound):
+        # A bounded pop returns the model's minimum iff it is due, and
+        # otherwise leaves the queue untouched.
+        expected = min(
+            ((h.time, h.seq) for h in self.live.values()), default=None
+        )
+        event = self.queue.pop_due(bound)
+        if expected is None or expected[0] > bound:
+            assert event is None
         else:
-            expected = sorted(
-                (h.seq for h in live if h.time == min_time)
-            )
-        cohort = self.queue.pop_cohort(limit=bound)
-        assert [e.seq for e in cohort] == expected
-        for e in cohort:
-            del self.live[e.seq]
-
-    @precondition(lambda self: self.live)
-    @rule(data=st.data())
-    def pop_cohort_then_requeue_tail(self, data):
-        # Mid-cohort interruption: execute a prefix, requeue the rest.
-        # The requeued tail keeps its (time, seq) identity, so later
-        # rules must see it exactly where the model says it is.
-        cohort = self.queue.pop_cohort()
-        if not cohort:
-            return
-        cut = data.draw(st.integers(0, len(cohort)))
-        for e in cohort[:cut]:
-            del self.live[e.seq]
-        self.queue.requeue(cohort[cut:])
+            assert (event.time, event.seq) == expected
+            del self.live[event.seq]
 
     @rule()
     def peek_matches_min_live_time(self):

@@ -19,7 +19,7 @@ def test_event_queue_pops_in_nondecreasing_time_order(times):
     for t in times:
         q.push(t, lambda: None)
     popped = []
-    while (event := q.pop()) is not None:
+    while (event := q.pop_due()) is not None:
         popped.append(event.time)
     assert popped == sorted(popped)
     assert len(popped) == len(times)
@@ -38,7 +38,7 @@ def test_cancellation_never_fires(times, cancel_idx):
     for i in to_cancel:
         handles[i].cancel()
     survivors = 0
-    while q.pop() is not None:
+    while q.pop_due() is not None:
         survivors += 1
     assert survivors == len(times) - len(to_cancel)
 

@@ -55,44 +55,3 @@ def test_append_accumulates_jsonl_records(tmp_path, capsys):
     assert [r["sha"] for r in records] == ["aaa", "bbb"]
     assert all(r["bench"] == "kernel" for r in records)
     assert all(r["metrics"] == {"events_per_sec": 123.0} for r in records)
-
-
-def test_gate_passes_within_threshold(tmp_path, capsys):
-    base = _write(tmp_path / "base.json", {"events_per_sec": 100_000})
-    fresh = _write(tmp_path / "fresh.json", {"events_per_sec": 80_000})
-    code = trend.main(
-        ["gate", "--result", str(fresh), "--baseline", str(base),
-         "--threshold-pct", "25"]
-    )
-    assert code == 0
-
-
-def test_gate_fails_beyond_threshold(tmp_path, capsys):
-    base = _write(tmp_path / "base.json", {"events_per_sec": 100_000})
-    fresh = _write(tmp_path / "fresh.json", {"events_per_sec": 70_000})
-    code = trend.main(
-        ["gate", "--result", str(fresh), "--baseline", str(base),
-         "--threshold-pct", "25"]
-    )
-    assert code == 1
-    assert "REGRESSION" in capsys.readouterr().out
-
-
-def test_gate_fails_when_metric_disappears(tmp_path, capsys):
-    base = _write(tmp_path / "base.json", {"t": {"states_per_sec": 10}})
-    fresh = _write(tmp_path / "fresh.json", {"t": {}})
-    code = trend.main(
-        ["gate", "--result", str(fresh), "--baseline", str(base)]
-    )
-    assert code == 1
-
-
-def test_gate_trivially_passes_without_throughput_metrics(tmp_path):
-    # Benches without events/states-per-sec metrics (tables, counters)
-    # are the regress CLI's job; the trend gate must not block them.
-    base = _write(tmp_path / "base.json", {"rows": [1], "violations": 0})
-    fresh = _write(tmp_path / "fresh.json", {"rows": [2], "violations": 5})
-    code = trend.main(
-        ["gate", "--result", str(fresh), "--baseline", str(base)]
-    )
-    assert code == 0

@@ -10,7 +10,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import DeadlockError
-from repro.verify.explore import ExplorationResult, build_world, explore
+from repro.verify.explore import (
+    ExplorationResult,
+    FaultBudget,
+    build_world,
+    explore,
+)
 
 
 def test_single_site_self_quorum():
@@ -63,6 +68,29 @@ def test_build_world_validates_request_vector():
 
     with pytest.raises(ProtocolError):
         build_world([{0}], requests_per_site=[1, 2])
+
+
+@pytest.mark.parametrize("crashes", [0, 1], ids=["plain", "fault-tolerant"])
+def test_clone_site_copies_every_declared_field(crashes):
+    """``_clone_site`` mirrors site state field by field; a slot added to
+    (or removed from) any class up the MRO must fail here, not deep in a
+    search. Checked on ``_ExploreSite`` and ``_ExploreFTSite``."""
+    from repro.verify.explore.world import _clone_site
+
+    world = build_world([{0, 1}, {0, 1}], fault_budget=FaultBudget(crashes=crashes))
+    site = world.sites[0]
+    clone = _clone_site(site, world.fake_sim, world.listener)
+    slots = [
+        name
+        for cls in type(site).__mro__
+        for name in getattr(cls, "__slots__", ())
+    ]
+    assert "site_id" in slots and "arbiter" in slots  # the walk sees the bases
+    unset = [name for name in slots if not hasattr(clone, name)]
+    assert not unset, f"_clone_site leaves slots unset: {unset}"
+    # Unslotted classes in the MRO keep their fields in __dict__; a name
+    # only the clone has is a copy of a slot that no longer exists.
+    assert vars(clone).keys() == vars(site).keys()
 
 
 def test_explorer_catches_seeded_deadlock():

@@ -15,15 +15,11 @@ out in the commit message; never regenerate to make a refactor pass.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import pathlib
 
 import pytest
 
-from repro.core.messages import pool
-from repro.experiments.runner import run_mutex
 from repro.verify.fingerprint import (
     GOLDEN_ALGORITHMS,
     GOLDEN_SEEDS,
@@ -65,17 +61,16 @@ def test_kernel_replays_golden_fingerprint(goldens, algorithm, seed):
 
 
 def _step_loop(sim, until=None, max_events=None):
-    """One-event-at-a-time reference loop (no cohort batching)."""
+    """Drive the run through repeated ``step()`` calls."""
     while sim.step():
         pass
 
 
 @pytest.mark.parametrize("algorithm,seed", GRID)
 def test_per_event_loop_replays_golden_fingerprint(goldens, algorithm, seed):
-    # The cohort loop's contract: batching whole same-timestamp cohorts
-    # replays exactly the per-event (time, seq) history. Driving the
-    # golden grid through single-step execution must reproduce the very
-    # same pinned digests the cohort loop does.
+    # ``step()`` is ``run(max_events=1)``: stopping and resuming the loop
+    # after every event must replay exactly the (time, seq) history of
+    # one uninterrupted ``run()``, i.e. the same pinned digests.
     key = f"{algorithm}/{seed}"
     expected = goldens[key]
     actual = fingerprint_run(golden_config(algorithm, seed), loop=_step_loop)
@@ -83,27 +78,3 @@ def test_per_event_loop_replays_golden_fingerprint(goldens, algorithm, seed):
         assert actual[field] == expected[field], (
             f"{key}: per-event loop diverged from golden on {field!r}"
         )
-
-
-def _summary_digest(config) -> str:
-    result = run_mutex(config)
-    payload = json.dumps(result.summary.to_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-@pytest.mark.parametrize("seed", GOLDEN_SEEDS)
-def test_pooled_messages_replay_identical_summaries(monkeypatch, seed):
-    # Message pooling recycles consumed control messages; armed runs must
-    # produce byte-identical summaries. (The goldens themselves run with
-    # trace=True, which is one of the conditions that keeps the pool
-    # disarmed — so this test compares trace-free runs directly.)
-    config = dataclasses.replace(golden_config("cao-singhal", seed), trace=False)
-    monkeypatch.delenv("REPRO_MSG_POOL", raising=False)
-    plain = _summary_digest(config)
-
-    monkeypatch.setenv("REPRO_MSG_POOL", "1")
-    reused_before = pool.reused
-    pooled = _summary_digest(config)
-    assert not pool.enabled  # run_mutex disarmed it on the way out
-    assert pool.reused > reused_before  # the pool actually engaged
-    assert pooled == plain

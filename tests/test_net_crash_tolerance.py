@@ -32,9 +32,15 @@ def test_sigkilled_site_does_not_poison_the_merged_trace(tmp_path):
         n_sites=4,
         requests_per_site=3,
         seed=13,
-        # Slow the clock enough that the kill lands mid-workload
-        # (default units finish the whole run in well under a second).
         unit=0.1,
+        # Datagrams arrive in microseconds whatever the unit, so the CS
+        # hold time is what spaces the workload out: 50 ms per CS puts
+        # ~0.5 s between the victim's first entry and the survivors' last
+        # request, a hundred polls of the kill loop below.
+        cs_duration=0.5,
+        # No pure ack before the first CS is over: the grants the victim
+        # entered on are still unacknowledged if the kill lands inside it.
+        ack_delay=1.0,
         # Few, quick retries: survivors stuck on the victim's quorum
         # reach the give-up path well inside the deadline.
         max_retries=3,
@@ -51,15 +57,17 @@ def test_sigkilled_site_does_not_poison_the_merged_trace(tmp_path):
     thread = threading.Thread(target=orchestrate)
     thread.start()
     try:
-        # Rendezvous done = the address book exists; shortly after, the
-        # shared epoch passes and the workload is in flight.
-        addrbook = layout.addrbook_path(run_dir)
-        rendezvous_deadline = time.time() + 15.0
-        while not addrbook.exists():
-            assert time.time() < rendezvous_deadline, "rendezvous timed out"
-            assert thread.is_alive(), "launcher died before the address book"
-            time.sleep(0.02)
-        time.sleep(0.4)
+        # Kill on an event, not a timer: the victim's write-through trace
+        # shard shows its first CS entry. At least two of its requests
+        # are then unserved, and the survivors with the victim in their
+        # quorum either hold unacknowledged grants to it or have yet to
+        # send it their next request or release.
+        shard = layout.trace_path(run_dir, VICTIM)
+        entry_deadline = time.time() + 30.0
+        while not (shard.exists() and '"cs_enter"' in shard.read_text("utf-8")):
+            assert time.time() < entry_deadline, "victim never entered the CS"
+            assert thread.is_alive(), "launcher died before the victim's first CS"
+            time.sleep(0.005)
         victim_pid = int(
             layout.pid_path(run_dir, VICTIM).read_text(encoding="utf-8")
         )

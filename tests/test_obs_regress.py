@@ -132,6 +132,24 @@ def test_chaos_directions_throughput_up_is_good_rest_down_is_good(tmp_path):
     assert [r.metric for r in report.failures] == ["loss=0/cao-singhal/resp_t"]
 
 
+def test_explorer_states_per_sec_is_gated_on_the_committed_artifact(tmp_path):
+    # The explorer's throughput has no other gate: both states/sec
+    # figures of the real BENCH_explore.json shape must be judged.
+    import pathlib
+
+    results = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
+    committed = load_results(str(results))["explore"]
+    base = write_results(tmp_path / "base", explore=committed)
+    slow = copy.deepcopy(committed)
+    slow["throughput"]["states_per_sec"] *= 0.7
+    slow["fault_grid_n9"]["states_per_sec"] *= 0.9
+    report = check(base, write_results(tmp_path / "cur", explore=slow), 25.0)
+    assert {r.metric: r.status for r in report.results} == {
+        "throughput/states_per_sec": "regression",
+        "fault_grid_n9/states_per_sec": "ok",
+    }
+
+
 def test_missing_current_benchmark_is_reported_not_failed(tmp_path):
     """CI regenerates a subset of the benchmarks; the ones it does not
     rerun show as 'missing' and never gate."""

@@ -9,7 +9,7 @@ from repro.sim.event import Event, EventQueue
 
 def test_empty_queue_pops_none():
     q = EventQueue()
-    assert q.pop() is None
+    assert q.pop_due() is None
     assert len(q) == 0
     assert not q
 
@@ -20,7 +20,7 @@ def test_orders_by_time():
     q.push(3.0, lambda: fired.append("c"))
     q.push(1.0, lambda: fired.append("a"))
     q.push(2.0, lambda: fired.append("b"))
-    while (event := q.pop()) is not None:
+    while (event := q.pop_due()) is not None:
         event.fire()
     assert fired == ["a", "b", "c"]
 
@@ -30,7 +30,7 @@ def test_ties_break_by_scheduling_order():
     fired = []
     for tag in range(10):
         q.push(5.0, lambda t=tag: fired.append(t))
-    while (event := q.pop()) is not None:
+    while (event := q.pop_due()) is not None:
         event.fire()
     assert fired == list(range(10))
 
@@ -49,7 +49,7 @@ def test_cancelled_event_does_not_fire():
     keep = q.push(1.0, lambda: fired.append("keep"))
     drop = q.push(0.5, lambda: fired.append("drop"))
     drop.cancel()
-    while (event := q.pop()) is not None:
+    while (event := q.pop_due()) is not None:
         event.fire()
     assert fired == ["keep"]
     assert keep.cancelled is False
@@ -100,25 +100,10 @@ def test_bool_reflects_liveness():
     assert not q
 
 
-# -- cohort draining ----------------------------------------------------------
+# -- same-instant events -------------------------------------------------------
 
 
-def test_pop_cohort_returns_whole_timestamp_in_seq_order():
-    q = EventQueue()
-    tags = []
-    q.push(2.0, lambda: tags.append("late"))
-    for tag in range(5):
-        q.push(1.0, lambda t=tag: tags.append(t))
-    cohort = q.pop_cohort()
-    assert [e.time for e in cohort] == [1.0] * 5
-    assert [e.seq for e in cohort] == sorted(e.seq for e in cohort)
-    for e in cohort:
-        e.fire()
-    assert tags == [0, 1, 2, 3, 4]
-    assert len(q) == 1  # t=2.0 untouched
-
-
-def test_pop_cohort_interleaved_pushes_keep_seq_tiebreak():
+def test_interleaved_pushes_keep_seq_tiebreak():
     # Same-timestamp events scheduled in between other timestamps still
     # come back in scheduling (seq) order, never heap-internal order.
     q = EventQueue()
@@ -128,84 +113,43 @@ def test_pop_cohort_interleaved_pushes_keep_seq_tiebreak():
     q.push(5.0, lambda: order.append("b"))
     q.push(7.0, lambda: order.append("later"))
     q.push(5.0, lambda: order.append("c"))
-    for e in q.pop_cohort():
-        e.fire()
-    assert order == ["early"]
-    for e in q.pop_cohort():
-        e.fire()
+    while (event := q.pop_due(5.0)) is not None:
+        event.fire()
     assert order == ["early", "a", "b", "c"]
+    assert len(q) == 1  # t=7.0 untouched
 
 
-def test_pop_cohort_respects_limit():
-    q = EventQueue()
-    q.push(5.0, lambda: None)
-    q.push(5.0, lambda: None)
-    assert q.pop_cohort(limit=4.0) == []
-    assert len(q) == 2  # nothing removed when the cohort is out of bounds
-    assert len(q.pop_cohort(limit=5.0)) == 2
-
-
-def test_pop_cohort_discards_cancelled_entries():
+def test_pop_due_discards_cancelled_entries():
     q = EventQueue()
     keep_a = q.push(1.0, lambda: None)
     drop = q.push(1.0, lambda: None)
     keep_b = q.push(1.0, lambda: None)
     drop.cancel()
-    cohort = q.pop_cohort()
-    assert cohort == [keep_a, keep_b]
+    assert q.pop_due() is keep_a
+    assert q.pop_due() is keep_b
+    assert q.pop_due() is None
     assert len(q) == 0
 
 
 def test_cancel_after_pop_only_flags_the_event():
-    # Popped events are detached: a late cancel (issued by an earlier
-    # cohort member) must not touch the queue's live count again.
+    # Popped events are detached: a late cancel (e.g. a timer disarmed
+    # after it fired) must not touch the queue's live count again.
     q = EventQueue()
-    q.push(1.0, lambda: None)
     q.push(1.0, lambda: None)
     survivor = q.push(2.0, lambda: None)
-    cohort = q.pop_cohort()
+    popped = q.pop_due()
     assert len(q) == 1
-    cohort[1].cancel()
-    cohort[1].cancel()  # idempotent
-    assert cohort[1].cancelled
+    popped.cancel()
+    popped.cancel()  # idempotent
+    assert popped.cancelled
     assert len(q) == 1  # live count unchanged; only the t=2 event remains
-    assert q.pop() is survivor
-
-
-def test_pop_cohort_reuses_out_buffer():
-    q = EventQueue()
-    q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    buf: list = ["stale"]
-    first = q.pop_cohort(out=buf)
-    assert first is buf
-    assert [e.time for e in buf] == [1.0]
-    second = q.pop_cohort(out=buf)
-    assert second is buf
-    assert [e.time for e in buf] == [2.0]
-
-
-def test_requeue_restores_original_time_seq_keys():
-    q = EventQueue()
-    fired = []
-    for tag in range(4):
-        q.push(1.0, lambda t=tag: fired.append(t))
-    cohort = q.pop_cohort()
-    executed, remainder = cohort[:2], cohort[2:]
-    for e in executed:
-        e.fire()
-    remainder[0].cancel()  # cancelled events must not re-enter
-    q.requeue(remainder)
-    assert len(q) == 1
-    for e in q.pop_cohort():
-        e.fire()
-    assert fired == [0, 1, 3]
+    assert q.pop_due() is survivor
 
 
 def test_zero_delay_followup_lands_in_the_next_cohort():
-    # An event that schedules at its own timestamp mid-cohort gets a
-    # larger seq and comes back as the *next* cohort at the same time —
-    # exactly the per-event (time, seq) order.
+    # An event that schedules at its own timestamp gets a larger seq, so
+    # it fires after everything already queued for that instant —
+    # exactly the (time, seq) order.
     q = EventQueue()
     fired = []
 
@@ -215,12 +159,6 @@ def test_zero_delay_followup_lands_in_the_next_cohort():
 
     q.push(1.0, first)
     q.push(1.0, lambda: fired.append("second"))
-    cohort = q.pop_cohort()
-    for e in cohort:
-        e.fire()
-    assert fired == ["first", "second"]
-    follow = q.pop_cohort()
-    assert [e.time for e in follow] == [1.0]
-    for e in follow:
-        e.fire()
+    while (event := q.pop_due()) is not None:
+        event.fire()
     assert fired == ["first", "second", "follow-up"]

@@ -203,8 +203,8 @@ def test_events_processed_counter():
 
 
 def test_until_bound_executes_the_whole_cohort_at_the_bound():
-    # ``until`` is inclusive: a cohort sitting exactly on the bound runs
-    # to completion, never partially.
+    # ``until`` is inclusive: every event sitting exactly on the bound
+    # (the same-instant cohort) fires, never only some of them.
     sim = Simulator()
     fired = []
     for i in range(5):
@@ -234,9 +234,8 @@ def test_same_instant_followup_fires_within_the_bound():
 
 
 def test_cancel_inside_a_cohort_skips_the_later_member():
-    # Lazy cancellation across a popped cohort: an earlier member
-    # cancelling a later one must suppress its callback even though both
-    # were removed from the heap in the same pass.
+    # An event cancelling a later event of the same instant must
+    # suppress its callback.
     sim = Simulator()
     fired = []
     handles = {}
@@ -252,20 +251,52 @@ def test_cancel_inside_a_cohort_skips_the_later_member():
     assert fired == ["first", "third"]
 
 
-def test_max_events_exhaustion_mid_cohort_requeues_remainder():
-    # The event budget can run out in the middle of a cohort; the
-    # unexecuted tail must survive (under its original order) so a later
-    # run continues exactly where the one-at-a-time loop would have.
+def test_same_timestamp_budget_exhaustion_resumes_in_time_seq_order():
+    # The event budget can run out between events of one instant; the
+    # unfired rest stays queued and a later run continues in (time, seq)
+    # order, including a zero-delay follow-up scheduled before the stop.
     sim = Simulator()
     fired = []
-    for i in range(6):
+
+    def zeroth():
+        fired.append(0)
+        sim.schedule(0.0, lambda: fired.append("follow-up"))
+
+    sim.schedule(5.0, zeroth)
+    for i in range(1, 6):
         sim.schedule(5.0, lambda i=i: fired.append(i))
     sim.run(max_events=3)
     assert fired == [0, 1, 2]
-    assert sim.pending_events() == 3
+    assert sim.pending_events() == 4
+    assert sim.now == 5.0
     sim.run()
-    assert fired == [0, 1, 2, 3, 4, 5]
-    assert sim.events_processed == 6
+    assert fired == [0, 1, 2, 3, 4, 5, "follow-up"]
+    assert sim.events_processed == 7
+
+
+def test_raising_callback_keeps_the_queue_complete_and_counters_truthful():
+    # A callback that raises has been counted, and every event not yet
+    # fired (same instant and later) is still queued for the next run.
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.schedule(5.0, lambda: fired.append("before"))
+    sim.schedule(5.0, boom)
+    sim.schedule(5.0, lambda: fired.append("same-instant"))
+    sim.schedule(6.0, lambda: fired.append("later"))
+    with pytest.raises(RuntimeError):
+        sim.run(until=10.0)
+    assert fired == ["before"]
+    assert sim.events_processed == 2
+    assert sim.last_event_time == 5.0
+    assert sim.now == 5.0  # the clock did not jump to the bound
+    assert sim.pending_events() == 2
+    sim.run(until=10.0)
+    assert fired == ["before", "same-instant", "later"]
+    assert sim.now == 10.0
 
 
 def test_deterministic_replay_same_seed():
