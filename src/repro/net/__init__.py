@@ -6,8 +6,8 @@ discrete-event :class:`~repro.sim.simulator.Simulator`): every protocol
 site, the reliable-channel layer, and the whole trace/verification stack
 run unchanged over real datagrams on localhost.
 
-* :mod:`repro.net.wire` — JSON datagram codec sharing the trace layer's
-  message schema;
+* :mod:`repro.net.wire` — binary datagram codec over the trace layer's
+  message registry;
 * :mod:`repro.net.substrate` — :class:`NetSubstrate`, wall-clock timers
   and UDP endpoints behind the substrate interface;
 * :mod:`repro.net.config` — :class:`NetRunConfig`, the JSON-serializable

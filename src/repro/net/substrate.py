@@ -44,14 +44,12 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.net.config import NetRunConfig
 from repro.net.wire import decode_frame, encode_frame
-from repro.obs.export import SCHEMA, encode_record
+from repro.obs.export import encode_header, encode_record
 from repro.sim.node import Node
 from repro.sim.rng import SeedSequence
 from repro.sim.trace import Trace, TraceRecord
 from repro.sim.transport import ReliableTransport
 from repro.substrate import SiteId, TimerHandle
-
-import json
 
 
 class JsonlTraceWriter(Trace):
@@ -71,10 +69,7 @@ class JsonlTraceWriter(Trace):
     def __init__(self, path, meta: Optional[Dict[str, Any]] = None) -> None:
         super().__init__(enabled=True)
         self._fh = open(path, "w", encoding="utf-8", buffering=1)
-        header: Dict[str, Any] = {"schema": SCHEMA}
-        if meta:
-            header["meta"] = meta
-        self._fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        self._fh.write(encode_header(meta) + "\n")
 
     def record(self, time: float, kind: str, site: int, detail: Any = None) -> None:
         if not self.enabled:

@@ -29,9 +29,11 @@ Detail encoding is by tagged objects, recursively:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from math import isfinite
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.common import Priority, slotted_dataclass
 from repro.errors import ConfigurationError
@@ -54,8 +56,6 @@ _MESSAGE_MODULES = (
     "repro.ft.detector",
     "repro.replication.messages",
 )
-
-_registry: Optional[Dict[str, type]] = None
 
 
 @slotted_dataclass(frozen=True)
@@ -80,6 +80,7 @@ class TraceFile:
         return len(self.records)
 
 
+@functools.lru_cache(maxsize=None)
 def _message_registry() -> Dict[str, type]:
     """Class-name -> class for every known wire-message dataclass.
 
@@ -88,9 +89,6 @@ def _message_registry() -> Dict[str, type]:
     per-algorithm prefixes — ``Mk*``, ``RA*`` — exist for this reason);
     a collision would corrupt decoding, so it is a hard error.
     """
-    global _registry
-    if _registry is not None:
-        return _registry
     registry: Dict[str, type] = {}
     for module_name in _MESSAGE_MODULES:
         try:
@@ -110,28 +108,65 @@ def _message_registry() -> Dict[str, type]:
                         f"{existing.__module__} and {obj.__module__}"
                     )
                 registry[obj.__name__] = obj
-    _registry = registry
     return registry
 
 
-def _encode_detail(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, Priority):
-        return {"$p": [value.seq, value.site]}
-    if isinstance(value, Opaque):
-        return {"$r": value.text}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            "$m": type(value).__name__,
-            "f": {
-                field.name: _encode_detail(getattr(value, field.name))
-                for field in dataclasses.fields(value)
-            },
-        }
-    if isinstance(value, (list, tuple)):
-        return [_encode_detail(item) for item in value]
-    return {"$r": repr(value)}
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _sequence_json(value) -> str:
+    return "[" + ",".join([_json_of[type(item)](item) for item in value]) + "]"
+
+
+def _dataclass_json(cls: type) -> Callable[[Any], str]:
+    """Compile ``cls``'s tagged JSON object into a ``%``-template (tag, class
+    name and quoted field names literal, a ``%s`` per field); return its filler."""
+    names = [field.name for field in dataclasses.fields(cls)]
+    if cls is Priority:
+        template = '{"$p":[%s,%s]}'
+    elif cls is Opaque:
+        template = '{"$r":%s}'
+    else:
+        body = ",".join(_quote(name) + ":%s" for name in names)
+        template = '{"$m":' + _quote(cls.__name__) + ',"f":{' + body + "}}"
+
+    def encode(value) -> str:
+        return template % tuple(
+            [_json_of[type(item := getattr(value, name))](item) for name in names]
+        )
+
+    return encode
+
+
+class _JsonEncoders(dict):
+    """Exact type -> function writing the JSON text of a value's tagged
+    form as ``json.dumps`` would. A type not seeded below is compiled on
+    first sight, by the schema's precedence: a JSON scalar's subclass as
+    the scalar, a dataclass by template, a sequence as array, else opaque."""
+
+    def __missing__(self, cls: type) -> Callable[[Any], str]:
+        scalar = next((b for b in (int, float, str) if issubclass(cls, b)), None)
+        if scalar is not None:
+            encode = self[scalar]
+        elif dataclasses.is_dataclass(cls):
+            encode = _dataclass_json(cls)
+        elif issubclass(cls, (list, tuple)):
+            encode = _sequence_json
+        else:
+            encode = lambda value: '{"$r":' + _quote(repr(value)) + "}"  # noqa: E731
+        self[cls] = encode
+        return encode
+
+
+_json_of = _JsonEncoders({
+    int: int.__repr__,
+    float: lambda value: (
+        float.__repr__(value) if isfinite(value) else json.dumps(value)
+    ),
+    str: _quote,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+})
 
 
 def _decode_detail(value: Any) -> Any:
@@ -157,36 +192,37 @@ def _decode_detail(value: Any) -> Any:
     raise ConfigurationError(f"unrecognized detail encoding: {value!r}")
 
 
-def encode_value(value: Any) -> Any:
-    """Encode one detail value (message, Priority, tuple, scalar) to the
-    JSON-ready tagged form. Public entry point for other serializers —
-    the UDP wire format in :mod:`repro.net.wire` reuses it so datagrams
-    and trace records share one message codec."""
-    return _encode_detail(value)
-
-
-def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    return _decode_detail(value)
-
-
 def encode_record(rec: TraceRecord) -> str:
     """One record as its JSONL line (no trailing newline)."""
-    row: Dict[str, Any] = {"t": rec.time, "k": rec.kind, "s": rec.site}
-    if rec.detail is not None:
-        row["d"] = _encode_detail(rec.detail)
-    return json.dumps(row, separators=(",", ":"))
+    time, kind, site, detail = rec.time, rec.kind, rec.site, rec.detail
+    line = '{"t":%s,"k":%s,"s":%s' % (
+        _json_of[type(time)](time), _json_of[type(kind)](kind), _json_of[type(site)](site)
+    )
+    if detail is None:
+        return line + "}"
+    return line + ',"d":' + _json_of[type(detail)](detail) + "}"
 
 
 def decode_record(line: str) -> TraceRecord:
-    """Inverse of :func:`encode_record`."""
-    row = json.loads(line)
-    return TraceRecord(
-        time=row["t"],
-        kind=row["k"],
-        site=row["s"],
-        detail=_decode_detail(row["d"]) if "d" in row else None,
-    )
+    """Inverse of :func:`encode_record`; ConfigurationError on a malformed line."""
+    try:
+        row = json.loads(line)
+        return TraceRecord(
+            time=row["t"],
+            kind=row["k"],
+            site=row["s"],
+            detail=_decode_detail(row["d"]) if "d" in row else None,
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigurationError(f"malformed trace record: {exc!r}") from exc
+
+
+def encode_header(meta: Optional[Dict[str, Any]] = None) -> str:
+    """The header line that opens a trace file (no trailing newline)."""
+    header: Dict[str, Any] = {"schema": SCHEMA}
+    if meta:
+        header["meta"] = meta
+    return json.dumps(header, separators=(",", ":"))
 
 
 def export_jsonl(
@@ -208,10 +244,7 @@ def export_jsonl(
         fh = open(path, "w", encoding="utf-8")
         close = True
     try:
-        header: Dict[str, Any] = {"schema": SCHEMA}
-        if meta:
-            header["meta"] = meta
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        fh.write(encode_header(meta) + "\n")
         for rec in records:
             fh.write(encode_record(rec) + "\n")
             count += 1
@@ -238,14 +271,20 @@ def _import_lines(lines, label: str) -> TraceFile:
     header_line = next(lines, "")
     if not header_line.strip():
         raise ConfigurationError(f"{label}: empty trace file")
-    header = json.loads(header_line)
-    schema = header.get("schema")
-    if schema != SCHEMA:
-        raise ConfigurationError(
-            f"{label}: unsupported trace schema {schema!r} "
-            f"(expected {SCHEMA!r})"
-        )
-    records = [decode_record(line) for line in lines if line.strip()]
+    number = 1  # of the line being parsed, for the error message
+    try:
+        header = json.loads(header_line)
+        schema = header.get("schema")
+        if schema != SCHEMA:
+            raise ConfigurationError(
+                f"unsupported trace schema {schema!r} (expected {SCHEMA!r})"
+            )
+        records = []
+        for number, line in enumerate(lines, start=2):
+            if line.strip():
+                records.append(decode_record(line))
+    except (ValueError, AttributeError, ConfigurationError) as exc:
+        raise ConfigurationError(f"{label}:{number}: {exc}") from exc
     return TraceFile(
         schema=schema, meta=header.get("meta", {}), records=records
     )
