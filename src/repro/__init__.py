@@ -17,41 +17,31 @@ Public surface (see README for a tour):
   processes plus the content-addressed on-disk run cache.
 """
 
-from repro.core.site import CaoSinghalSite
-from repro.experiments.runner import (
-    RunConfig,
-    RunResult,
-    quick_run,
-    run_many,
-    run_mutex,
-)
-from repro.metrics.summary import RunSummary
-from repro.parallel import RunCache, TrialPool, run_trials
-from repro.mutex.registry import algorithm_names, make_site
-from repro.quorums.registry import make_quorum_system, quorum_system_names
-from repro.sim.network import ConstantDelay, ExponentialDelay, UniformDelay
-from repro.sim.simulator import Simulator
+from repro._lazy import lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CaoSinghalSite",
-    "ConstantDelay",
-    "ExponentialDelay",
-    "RunConfig",
-    "RunCache",
-    "RunResult",
-    "RunSummary",
-    "Simulator",
-    "TrialPool",
-    "UniformDelay",
-    "algorithm_names",
-    "make_quorum_system",
-    "make_site",
-    "quick_run",
-    "quorum_system_names",
-    "run_many",
-    "run_mutex",
-    "run_trials",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy(
+    __name__,
+    {
+        "CaoSinghalSite": "repro.core.site",
+        "RunConfig": "repro.experiments.runner",
+        "RunResult": "repro.experiments.runner",
+        "quick_run": "repro.experiments.runner",
+        "run_many": "repro.experiments.runner",
+        "run_mutex": "repro.experiments.runner",
+        "RunSummary": "repro.metrics.summary",
+        "algorithm_names": "repro.mutex.registry",
+        "make_site": "repro.mutex.registry",
+        "RunCache": "repro.parallel.cache",
+        "TrialPool": "repro.parallel.pool",
+        "run_trials": "repro.parallel.pool",
+        "make_quorum_system": "repro.quorums.registry",
+        "quorum_system_names": "repro.quorums.registry",
+        "ConstantDelay": "repro.sim.network",
+        "ExponentialDelay": "repro.sim.network",
+        "UniformDelay": "repro.sim.network",
+        "Simulator": "repro.sim.simulator",
+    },
+)
+__all__.append("__version__")

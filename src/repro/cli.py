@@ -20,33 +20,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.experiments import (
-    run_ablation,
-    run_chaos_resilience,
-    run_churn,
-    run_load_balance,
-    run_availability,
-    run_delay,
-    run_heavy_load,
-    run_light_load,
-    run_load_sweep,
-    run_lock_chaos,
-    run_lock_skew,
-    run_lock_sweep,
-    run_queueing,
-    run_quorum_scaling,
-    run_recovery,
-    run_table1,
-    run_throughput,
-)
-from repro.experiments.report import ExperimentReport
-from repro.experiments.replicate import Replication
+from repro import experiments, parallel
 from repro.experiments.runner import RunConfig, run_mutex
 from repro.metrics.tables import render_table
 from repro.mutex.registry import algorithm_names
-from repro.parallel import RunCache, TrialPool, WORKERS_ENV
 from repro.quorums.registry import make_quorum_system, quorum_system_names
 from repro.ft.chaos import CHAOS_PRESETS, chaos_preset
 from repro.sim.network import (
@@ -59,24 +38,26 @@ from repro.sim.transport import ReliableConfig
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.driver import OpenLoopWorkload, SaturationWorkload
 
-EXPERIMENTS: Dict[str, Callable[[], ExperimentReport]] = {
-    "E1": run_table1,
-    "E2": run_light_load,
-    "E3": run_heavy_load,
-    "E4": run_delay,
-    "E5": run_throughput,
-    "E6": run_quorum_scaling,
-    "E7a": run_availability,
-    "E7b": run_recovery,
-    "E8": run_load_sweep,
-    "E9": run_ablation,
-    "E10": run_load_balance,
-    "E11": run_churn,
-    "E12": run_queueing,
-    "E13": run_chaos_resilience,
-    "E14": run_lock_sweep,
-    "E15": run_lock_skew,
-    "E16": run_lock_chaos,
+#: Experiment id -> entry point in :mod:`repro.experiments`, resolved at
+#: dispatch so that no other subcommand loads the experiment modules.
+EXPERIMENTS: Dict[str, str] = {
+    "E1": "run_table1",
+    "E2": "run_light_load",
+    "E3": "run_heavy_load",
+    "E4": "run_delay",
+    "E5": "run_throughput",
+    "E6": "run_quorum_scaling",
+    "E7a": "run_availability",
+    "E7b": "run_recovery",
+    "E8": "run_load_sweep",
+    "E9": "run_ablation",
+    "E10": "run_load_balance",
+    "E11": "run_churn",
+    "E12": "run_queueing",
+    "E13": "run_chaos_resilience",
+    "E14": "run_lock_sweep",
+    "E15": "run_lock_skew",
+    "E16": "run_lock_chaos",
 }
 
 
@@ -545,9 +526,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(result.summary.describe())
         print(profiler.report())
         return 0
-    cache = RunCache(args.cache_dir) if args.cache else None
+    cache = parallel.RunCache(args.cache_dir) if args.cache else None
     seeds = range(args.seed, args.seed + args.trials)
-    summaries = TrialPool(workers=args.workers, cache=cache).run_seeds(
+    summaries = parallel.TrialPool(workers=args.workers, cache=cache).run_seeds(
         config, seeds
     )
     if args.trials == 1:
@@ -566,7 +547,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"(N={config.n_sites})",
             )
         )
-        delays = Replication(
+        delays = experiments.Replication(
             metric="sync delay (T)",
             samples=[s.sync_delay_in_t for s in summaries],
         )
@@ -834,9 +815,9 @@ def cmd_locks(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     ids = sorted(EXPERIMENTS) if args.id == "all" else [args.id]
-    env_workers = os.environ.get(WORKERS_ENV)
+    env_workers = os.environ.get(parallel.WORKERS_ENV)
     if args.workers is not None:
-        os.environ[WORKERS_ENV] = str(args.workers)
+        os.environ[parallel.WORKERS_ENV] = str(args.workers)
     chaos_flags = {
         "loss_rates": (
             tuple(float(x) for x in args.loss.split(","))
@@ -857,7 +838,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                     f"apply to E13, ignored for {exp_id}",
                     file=sys.stderr,
                 )
-            report = EXPERIMENTS[exp_id](**kwargs)
+            report = getattr(experiments, EXPERIMENTS[exp_id])(**kwargs)
             if args.csv:
                 print(report.to_csv())
             elif args.json:
@@ -867,9 +848,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     finally:
         if args.workers is not None:
             if env_workers is None:
-                os.environ.pop(WORKERS_ENV, None)
+                os.environ.pop(parallel.WORKERS_ENV, None)
             else:
-                os.environ[WORKERS_ENV] = env_workers
+                os.environ[parallel.WORKERS_ENV] = env_workers
     return 0
 
 

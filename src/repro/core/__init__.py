@@ -6,31 +6,23 @@ algorithm (synchronization delay ``T``, message complexity ``c*K`` with
 Section 6 failure-handling protocol on top.
 """
 
-from repro.core.messages import (
-    Fail,
-    FailureNotice,
-    Inquire,
-    Release,
-    Reply,
-    Request,
-    Transfer,
-    Yield,
-)
-from repro.core.site import CaoSinghalSite
-from repro.core.state import ArbiterState, RequesterState, RequestQueue, TranStack
+from repro._lazy import lazy
 
-__all__ = [
-    "ArbiterState",
-    "CaoSinghalSite",
-    "Fail",
-    "FailureNotice",
-    "Inquire",
-    "Release",
-    "Reply",
-    "Request",
-    "RequestQueue",
-    "RequesterState",
-    "TranStack",
-    "Transfer",
-    "Yield",
-]
+__getattr__, __dir__, __all__ = lazy(
+    __name__,
+    {
+        "Fail": "repro.core.messages",
+        "FailureNotice": "repro.core.messages",
+        "Inquire": "repro.core.messages",
+        "Release": "repro.core.messages",
+        "Reply": "repro.core.messages",
+        "Request": "repro.core.messages",
+        "Transfer": "repro.core.messages",
+        "Yield": "repro.core.messages",
+        "CaoSinghalSite": "repro.core.site",
+        "ArbiterState": "repro.core.state",
+        "RequestQueue": "repro.core.state",
+        "RequesterState": "repro.core.state",
+        "TranStack": "repro.core.state",
+    },
+)

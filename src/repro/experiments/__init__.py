@@ -20,49 +20,35 @@ E16       Lock-service crash chaos: crash rate x detection latency
 ========  =============================================================
 """
 
-from repro.experiments.ablation import run_ablation
-from repro.experiments.chaos_sweep import run_chaos_resilience
-from repro.experiments.churn import run_churn
-from repro.experiments.delay import run_delay
-from repro.experiments.fault_tolerance import run_availability, run_recovery
-from repro.experiments.heavy_load import run_heavy_load
-from repro.experiments.light_load import run_light_load
-from repro.experiments.load_balance import run_load_balance, run_lock_skew
-from repro.experiments.load_sweep import run_load_sweep
-from repro.experiments.lock_chaos import run_lock_chaos
-from repro.experiments.lock_sweep import run_lock_sweep
-from repro.experiments.queueing import run_queueing
-from repro.experiments.quorum_scaling import run_quorum_scaling
-from repro.experiments.replicate import Replication, replicate, sync_delay_ci
-from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import RunConfig, RunResult, quick_run, run_mutex
-from repro.experiments.table1 import run_table1
-from repro.experiments.throughput import run_throughput
+from repro._lazy import lazy
 
-__all__ = [
-    "ExperimentReport",
-    "RunConfig",
-    "RunResult",
-    "Replication",
-    "quick_run",
-    "replicate",
-    "run_ablation",
-    "run_availability",
-    "run_chaos_resilience",
-    "run_churn",
-    "run_delay",
-    "run_heavy_load",
-    "run_light_load",
-    "run_load_balance",
-    "run_load_sweep",
-    "run_lock_chaos",
-    "run_lock_skew",
-    "run_lock_sweep",
-    "run_mutex",
-    "run_queueing",
-    "run_quorum_scaling",
-    "run_recovery",
-    "run_table1",
-    "run_throughput",
-    "sync_delay_ci",
-]
+__getattr__, __dir__, __all__ = lazy(
+    __name__,
+    {
+        "run_ablation": "repro.experiments.ablation",
+        "run_chaos_resilience": "repro.experiments.chaos_sweep",
+        "run_churn": "repro.experiments.churn",
+        "run_delay": "repro.experiments.delay",
+        "run_availability": "repro.experiments.fault_tolerance",
+        "run_recovery": "repro.experiments.fault_tolerance",
+        "run_heavy_load": "repro.experiments.heavy_load",
+        "run_light_load": "repro.experiments.light_load",
+        "run_load_balance": "repro.experiments.load_balance",
+        "run_lock_skew": "repro.experiments.load_balance",
+        "run_load_sweep": "repro.experiments.load_sweep",
+        "run_lock_chaos": "repro.experiments.lock_chaos",
+        "run_lock_sweep": "repro.experiments.lock_sweep",
+        "run_queueing": "repro.experiments.queueing",
+        "run_quorum_scaling": "repro.experiments.quorum_scaling",
+        "Replication": "repro.experiments.replicate",
+        "replicate": "repro.experiments.replicate",
+        "sync_delay_ci": "repro.experiments.replicate",
+        "ExperimentReport": "repro.experiments.report",
+        "RunConfig": "repro.experiments.runner",
+        "RunResult": "repro.experiments.runner",
+        "quick_run": "repro.experiments.runner",
+        "run_mutex": "repro.experiments.runner",
+        "run_table1": "repro.experiments.table1",
+        "run_throughput": "repro.experiments.throughput",
+    },
+)

@@ -1,29 +1,22 @@
 """Fault tolerance: failure detection, the Section 6 recovery protocol,
 and the deterministic chaos engine."""
 
-from repro.ft.chaos import (
-    ChaosSchedule,
-    CrashCycle,
-    DelaySpike,
-    FaultPlan,
-    LinkCut,
-    LossBurst,
-    chaos_preset,
-)
-from repro.ft.detector import Heartbeat, HeartbeatMonitor
-from repro.ft.recovery import ChurnPlan, CrashPlan, MonitoredSite
+from repro._lazy import lazy
 
-__all__ = [
-    "ChaosSchedule",
-    "ChurnPlan",
-    "CrashCycle",
-    "CrashPlan",
-    "DelaySpike",
-    "FaultPlan",
-    "Heartbeat",
-    "HeartbeatMonitor",
-    "LinkCut",
-    "LossBurst",
-    "MonitoredSite",
-    "chaos_preset",
-]
+__getattr__, __dir__, __all__ = lazy(
+    __name__,
+    {
+        "ChaosSchedule": "repro.ft.chaos",
+        "CrashCycle": "repro.ft.chaos",
+        "DelaySpike": "repro.ft.chaos",
+        "FaultPlan": "repro.ft.chaos",
+        "LinkCut": "repro.ft.chaos",
+        "LossBurst": "repro.ft.chaos",
+        "chaos_preset": "repro.ft.chaos",
+        "Heartbeat": "repro.ft.detector",
+        "HeartbeatMonitor": "repro.ft.detector",
+        "ChurnPlan": "repro.ft.recovery",
+        "CrashPlan": "repro.ft.recovery",
+        "MonitoredSite": "repro.ft.recovery",
+    },
+)

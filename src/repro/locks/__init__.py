@@ -11,45 +11,28 @@ fencing. See ``docs/API.md`` for the layer map and DESIGN.md §10 for
 the failure model.
 """
 
-from repro.locks.conformance import (
-    KeyConformanceChecker,
-    check_key_mutual_exclusion,
-)
-from repro.locks.faults import (
-    RetryPolicy,
-    ShardCrashCycle,
-    derive_shard_crashes,
-    install_shard_churn,
-)
-from repro.locks.frontend import LockRequest, ShardFrontEnd
-from repro.locks.router import ShardRouter, stable_key_hash
-from repro.locks.runner import (
-    LockRunConfig,
-    LockRunResult,
-    LockServiceSummary,
-    run_lock_configs,
-    run_lock_service,
-)
-from repro.locks.service import LockService, LockStats
-from repro.locks.substrate import ShardView
+from repro._lazy import lazy
 
-__all__ = [
-    "KeyConformanceChecker",
-    "LockRequest",
-    "LockRunConfig",
-    "LockRunResult",
-    "LockService",
-    "LockServiceSummary",
-    "LockStats",
-    "RetryPolicy",
-    "ShardCrashCycle",
-    "ShardFrontEnd",
-    "ShardRouter",
-    "ShardView",
-    "check_key_mutual_exclusion",
-    "derive_shard_crashes",
-    "install_shard_churn",
-    "run_lock_configs",
-    "run_lock_service",
-    "stable_key_hash",
-]
+__getattr__, __dir__, __all__ = lazy(
+    __name__,
+    {
+        "KeyConformanceChecker": "repro.locks.conformance",
+        "check_key_mutual_exclusion": "repro.locks.conformance",
+        "RetryPolicy": "repro.locks.faults",
+        "ShardCrashCycle": "repro.locks.faults",
+        "derive_shard_crashes": "repro.locks.faults",
+        "install_shard_churn": "repro.locks.faults",
+        "LockRequest": "repro.locks.frontend",
+        "ShardFrontEnd": "repro.locks.frontend",
+        "ShardRouter": "repro.locks.router",
+        "stable_key_hash": "repro.locks.router",
+        "LockRunConfig": "repro.locks.runner",
+        "LockRunResult": "repro.locks.runner",
+        "LockServiceSummary": "repro.locks.runner",
+        "run_lock_configs": "repro.locks.runner",
+        "run_lock_service": "repro.locks.runner",
+        "LockService": "repro.locks.service",
+        "LockStats": "repro.locks.service",
+        "ShardView": "repro.locks.substrate",
+    },
+)

@@ -26,11 +26,11 @@ import random
 from typing import TYPE_CHECKING, List, Sequence
 
 from repro.common import slotted_dataclass
+from repro.core.faults import FaultTolerantSite
 from repro.errors import ConfigurationError
 from repro.substrate import SiteId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.faults import FaultTolerantSite
     from repro.locks.substrate import ShardView
 
 __all__ = [
@@ -171,8 +171,6 @@ def install_shard_churn(
     rerouted its queued acquires to a surviving site, so replaying them
     would double-submit.
     """
-    from repro.core.faults import FaultTolerantSite
-
     by_id = {s.site_id: s for s in sites}
     for site in sites:
         if not isinstance(site, FaultTolerantSite):

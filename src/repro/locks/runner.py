@@ -10,13 +10,16 @@ process, and delay model are constructed *inside*
 live objects.
 
 Determinism contract (pinned by ``tests/test_lock_service.py``): the
-whole client population is materialized up front from two dedicated
-streams — ``locks/arrivals`` for the submission times, then
-``locks/population`` for the (client, key) draws — so the schedule is a
-pure function of the config and never interleaves with protocol RNG
-usage during the run. Crash schedules draw from shard-qualified streams
-(``lockshard{i}/crashes``) and retry backoff from ``locks/retry``, so
-fault-injected runs stay byte-deterministic too. Same config + seed ⇒
+client population is streamed from two dedicated streams —
+``locks/arrivals`` for the submission times, ``locks/population`` for
+the (client, key) draws — by one self-rescheduling arrival event, so
+the event heap holds what is in flight, not the whole future. Each
+stream is drawn strictly in order and by nothing else, so the schedule
+is still a pure function of the config and seed, however the draws
+interleave with protocol RNG usage during the run. Crash schedules
+draw from shard-qualified streams (``lockshard{i}/crashes``) and retry
+backoff from ``locks/retry``, so fault-injected runs stay
+byte-deterministic too. Same config + seed ⇒
 byte-identical summary dict, whether the trial runs inline, in a worker
 process, or through :class:`repro.parallel.TrialPool` at any worker
 count.
@@ -40,6 +43,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, List, Optional
 
+import repro.verify.invariants  # noqa: F401 - LockService.verify imports it inline; load it before any run
+from repro.core.faults import FaultTolerantSite
 from repro.errors import ConfigurationError
 from repro.ft.chaos import ChaosSchedule
 from repro.locks.faults import (
@@ -269,8 +274,6 @@ def _give_up_hook(service: LockService):
     its peer is gone; feed it to the Section 6 cleanup when the arbiter
     understands failures (FaultTolerantSite), else ignore it.
     """
-    from repro.core.faults import FaultTolerantSite
-
     n = service.router.n_sites
 
     def give_up(src: int, dst: int) -> None:
@@ -348,24 +351,30 @@ def run_lock_service(config: LockRunConfig) -> LockRunResult:
             sites = [view.nodes[s] for s in range(config.n_sites)]
             install_shard_churn(view, sites, cycles)
 
-    # The population is materialized up front from dedicated streams —
-    # see the module docstring's determinism contract.
-    arrival_rng = sim.rng("locks/arrivals")
-    times = list(
-        islice(
-            PoissonArrivals(config.arrival_rate).times(arrival_rng, math.inf),
-            config.n_requests,
-        )
+    # The population is streamed: one arrival event is queued at a time,
+    # and firing it draws and queues its successor — see the module
+    # docstring's determinism contract.
+    times = islice(
+        PoissonArrivals(config.arrival_rate).times(
+            sim.rng("locks/arrivals"), math.inf
+        ),
+        config.n_requests,
     )
     population_rng = sim.rng("locks/population")
     sampler = config.make_sampler()
-    for when in times:
-        client = population_rng.randrange(config.n_clients)
-        key = f"lock-{sampler.sample(population_rng)}"
-        sim.schedule_call(
-            when, service.acquire, (client, key, config.hold_duration), "acquire"
-        )
 
+    def schedule_next() -> None:
+        when = next(times, None)
+        if when is not None:
+            client = population_rng.randrange(config.n_clients)
+            key = f"lock-{sampler.sample(population_rng)}"
+            sim.schedule_at(when, arrive, (client, key), "acquire")
+
+    def arrive(client: int, key: str) -> None:
+        schedule_next()
+        service.acquire(client, key, config.hold_duration)
+
+    schedule_next()
     sim.start()
     sim.run(until=config.max_time, max_events=config.max_events)
     service.finalize_degraded()

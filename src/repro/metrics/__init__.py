@@ -1,35 +1,23 @@
 """Measurement layer: lifecycle records, summaries, and table rendering."""
 
-from repro.metrics.collector import CSRecord, MetricsCollector
-from repro.metrics.instruments import (
-    ArbiterSampler,
-    CacheStats,
-    QueueSample,
-    QueueStats,
-)
-from repro.metrics.summary import (
-    RunSummary,
-    Stats,
-    jain_fairness,
-    summarize,
-    sync_delays,
-)
-from repro.metrics.tables import render_csv, render_table
-from repro.metrics.timeline import render_timeline
+from repro._lazy import lazy
 
-__all__ = [
-    "ArbiterSampler",
-    "CSRecord",
-    "CacheStats",
-    "MetricsCollector",
-    "QueueSample",
-    "QueueStats",
-    "RunSummary",
-    "Stats",
-    "jain_fairness",
-    "render_csv",
-    "render_table",
-    "render_timeline",
-    "summarize",
-    "sync_delays",
-]
+__getattr__, __dir__, __all__ = lazy(
+    __name__,
+    {
+        "CSRecord": "repro.metrics.collector",
+        "MetricsCollector": "repro.metrics.collector",
+        "ArbiterSampler": "repro.metrics.instruments",
+        "CacheStats": "repro.metrics.instruments",
+        "QueueSample": "repro.metrics.instruments",
+        "QueueStats": "repro.metrics.instruments",
+        "RunSummary": "repro.metrics.summary",
+        "Stats": "repro.metrics.summary",
+        "jain_fairness": "repro.metrics.summary",
+        "summarize": "repro.metrics.summary",
+        "sync_delays": "repro.metrics.summary",
+        "render_csv": "repro.metrics.tables",
+        "render_table": "repro.metrics.tables",
+        "render_timeline": "repro.metrics.timeline",
+    },
+)

@@ -7,41 +7,29 @@ Lamport :class:`Priority`), and an independent implementation of every
 algorithm in the paper's Table 1 comparison.
 """
 
-from repro.mutex.base import DurationSpec, MutexSite, RunListener, SiteState
-from repro.mutex.centralized import CentralizedSite
-from repro.mutex.lamport import LamportSite
-from repro.mutex.maekawa import MaekawaSite
-from repro.mutex.messages import Bundle, Priority, bundle_or_single
-from repro.mutex.raymond import RaymondSite
-from repro.mutex.registry import (
-    AlgorithmSpec,
-    algorithm_names,
-    get_algorithm_spec,
-    make_site,
-)
-from repro.mutex.ricart_agrawala import RicartAgrawalaSite
-from repro.mutex.roucairol_carvalho import RoucairolCarvalhoSite
-from repro.mutex.singhal_heuristic import SinghalHeuristicSite
-from repro.mutex.suzuki_kasami import SuzukiKasamiSite
+from repro._lazy import lazy
 
-__all__ = [
-    "AlgorithmSpec",
-    "Bundle",
-    "CentralizedSite",
-    "DurationSpec",
-    "LamportSite",
-    "MaekawaSite",
-    "MutexSite",
-    "Priority",
-    "RaymondSite",
-    "RicartAgrawalaSite",
-    "RoucairolCarvalhoSite",
-    "RunListener",
-    "SinghalHeuristicSite",
-    "SiteState",
-    "SuzukiKasamiSite",
-    "algorithm_names",
-    "bundle_or_single",
-    "get_algorithm_spec",
-    "make_site",
-]
+__getattr__, __dir__, __all__ = lazy(
+    __name__,
+    {
+        "DurationSpec": "repro.mutex.base",
+        "MutexSite": "repro.mutex.base",
+        "RunListener": "repro.mutex.base",
+        "SiteState": "repro.mutex.base",
+        "CentralizedSite": "repro.mutex.centralized",
+        "LamportSite": "repro.mutex.lamport",
+        "MaekawaSite": "repro.mutex.maekawa",
+        "Bundle": "repro.mutex.messages",
+        "Priority": "repro.mutex.messages",
+        "bundle_or_single": "repro.mutex.messages",
+        "RaymondSite": "repro.mutex.raymond",
+        "AlgorithmSpec": "repro.mutex.registry",
+        "algorithm_names": "repro.mutex.registry",
+        "get_algorithm_spec": "repro.mutex.registry",
+        "make_site": "repro.mutex.registry",
+        "RicartAgrawalaSite": "repro.mutex.ricart_agrawala",
+        "RoucairolCarvalhoSite": "repro.mutex.roucairol_carvalho",
+        "SinghalHeuristicSite": "repro.mutex.singhal_heuristic",
+        "SuzukiKasamiSite": "repro.mutex.suzuki_kasami",
+    },
+)

@@ -20,17 +20,17 @@ run unchanged over real datagrams on localhost.
   entry point one OS process per site runs.
 """
 
-from repro.net.config import NetRunConfig
-from repro.net.launcher import NetRunError, NetRunReport, run_net
-from repro.net.merge import merge_records, merge_shard_files
-from repro.net.substrate import NetSubstrate
+from repro._lazy import lazy
 
-__all__ = [
-    "NetRunConfig",
-    "NetRunError",
-    "NetRunReport",
-    "NetSubstrate",
-    "merge_records",
-    "merge_shard_files",
-    "run_net",
-]
+__getattr__, __dir__, __all__ = lazy(
+    __name__,
+    {
+        "NetRunConfig": "repro.net.config",
+        "NetRunError": "repro.net.launcher",
+        "NetRunReport": "repro.net.launcher",
+        "run_net": "repro.net.launcher",
+        "merge_records": "repro.net.merge",
+        "merge_shard_files": "repro.net.merge",
+        "NetSubstrate": "repro.net.substrate",
+    },
+)

@@ -39,6 +39,7 @@ from repro.errors import SimulationError
 from repro.net import config as layout
 from repro.net.config import NetRunConfig
 from repro.net.merge import merge_shard_files
+from repro.net.site_proc import _summary, build_substrate
 from repro.obs.monitor import ProtocolMonitor
 from repro.quorums.registry import make_quorum_system
 from repro.workload.driver import SaturationWorkload
@@ -268,8 +269,6 @@ async def _run_inproc_async(
 ) -> List[Dict[str, Any]]:
     # Reuse the site process's own builder: inproc mode exercises the
     # exact construction path the real deployment uses.
-    from repro.net.site_proc import _summary, build_substrate
-
     built = [
         build_substrate(config, i, run_dir) for i in range(config.n_sites)
     ]

@@ -31,6 +31,7 @@ import sys
 import time
 from pathlib import Path
 
+import repro.core.site  # noqa: F401 - make_site imports it on first use; load it before any run
 from repro.metrics.collector import MetricsCollector
 from repro.mutex.registry import make_site
 from repro.net import config as layout

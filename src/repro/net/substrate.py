@@ -219,6 +219,8 @@ class NetSubstrate:
             raise ConfigurationError(
                 "substrate not started: schedule_call before start()"
             )
+        if delay != delay:  # NaN: max(nan, 0.0) is nan, not a clamp
+            raise ConfigurationError("cannot schedule a NaN delay")
         return self._loop.call_later(max(delay, 0.0) * self._unit, fn, *args)
 
     # -- substrate interface: messaging ------------------------------------

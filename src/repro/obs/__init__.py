@@ -8,39 +8,26 @@ this). See ``docs/API.md`` for the invariant table, the JSONL trace
 schema, and the regression thresholds CI enforces.
 """
 
-from repro.obs.export import (
-    SCHEMA,
-    TraceFile,
-    export_jsonl,
-    import_jsonl,
-)
-from repro.obs.monitor import MonitorTrace, ProtocolMonitor
-from repro.obs.profile import LoopProfiler, profiled_run, snapshot
-from repro.obs.regress import (
-    DEFAULT_THRESHOLD_PCT,
-    MetricSpec,
-    RegressionReport,
-    check,
-    compare,
-    load_results,
-)
-from repro.errors import InvariantViolation
+from repro._lazy import lazy
 
-__all__ = [
-    "SCHEMA",
-    "TraceFile",
-    "export_jsonl",
-    "import_jsonl",
-    "MonitorTrace",
-    "ProtocolMonitor",
-    "InvariantViolation",
-    "LoopProfiler",
-    "profiled_run",
-    "snapshot",
-    "DEFAULT_THRESHOLD_PCT",
-    "MetricSpec",
-    "RegressionReport",
-    "check",
-    "compare",
-    "load_results",
-]
+__getattr__, __dir__, __all__ = lazy(
+    __name__,
+    {
+        "InvariantViolation": "repro.errors",
+        "SCHEMA": "repro.obs.export",
+        "TraceFile": "repro.obs.export",
+        "export_jsonl": "repro.obs.export",
+        "import_jsonl": "repro.obs.export",
+        "MonitorTrace": "repro.obs.monitor",
+        "ProtocolMonitor": "repro.obs.monitor",
+        "LoopProfiler": "repro.obs.profile",
+        "profiled_run": "repro.obs.profile",
+        "snapshot": "repro.obs.profile",
+        "DEFAULT_THRESHOLD_PCT": "repro.obs.regress",
+        "MetricSpec": "repro.obs.regress",
+        "RegressionReport": "repro.obs.regress",
+        "check": "repro.obs.regress",
+        "compare": "repro.obs.regress",
+        "load_results": "repro.obs.regress",
+    },
+)

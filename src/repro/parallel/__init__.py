@@ -8,34 +8,22 @@ The substrate every replicated experiment runs on:
   keyed by a stable config fingerprint plus a protocol version salt.
 """
 
-from repro.parallel.cache import (
-    CACHE_DIR_ENV,
-    PROTOCOL_VERSION,
-    RunCache,
-    default_cache_dir,
-    describe_config,
-    fingerprint,
-)
-from repro.parallel.pool import (
-    DISPATCH_ENV,
-    WORKERS_ENV,
-    TrialPool,
-    resolve_dispatch,
-    resolve_workers,
-    run_trials,
-)
+from repro._lazy import lazy
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "DISPATCH_ENV",
-    "PROTOCOL_VERSION",
-    "RunCache",
-    "TrialPool",
-    "WORKERS_ENV",
-    "default_cache_dir",
-    "describe_config",
-    "fingerprint",
-    "resolve_dispatch",
-    "resolve_workers",
-    "run_trials",
-]
+__getattr__, __dir__, __all__ = lazy(
+    __name__,
+    {
+        "CACHE_DIR_ENV": "repro.parallel.cache",
+        "PROTOCOL_VERSION": "repro.parallel.cache",
+        "RunCache": "repro.parallel.cache",
+        "default_cache_dir": "repro.parallel.cache",
+        "describe_config": "repro.parallel.cache",
+        "fingerprint": "repro.parallel.cache",
+        "DISPATCH_ENV": "repro.parallel.pool",
+        "TrialPool": "repro.parallel.pool",
+        "WORKERS_ENV": "repro.parallel.pool",
+        "resolve_dispatch": "repro.parallel.pool",
+        "resolve_workers": "repro.parallel.pool",
+        "run_trials": "repro.parallel.pool",
+    },
+)

@@ -10,61 +10,36 @@ baselines (singleton, wheel), along with availability analysis used by the
 fault-tolerance experiments.
 """
 
-from repro.quorums.availability import (
-    AvailabilityPoint,
-    availability_curve,
-    exact_availability,
-    monte_carlo_availability,
-    node_resilience,
-)
-from repro.quorums.coterie import Coterie, ExplicitQuorumSystem, Quorum, QuorumSystem
-from repro.quorums.fpp import FPPQuorumSystem
-from repro.quorums.grid import GridQuorumSystem
-from repro.quorums.gridset import GridSetQuorumSystem
-from repro.quorums.hierarchical import HierarchicalQuorumSystem
-from repro.quorums.majority import MajorityQuorumSystem
-from repro.quorums.registry import (
-    make_quorum_system,
-    quorum_system_names,
-    register_quorum_system,
-)
-from repro.quorums.rst import RSTQuorumSystem
-from repro.quorums.singleton import SingletonQuorumSystem
-from repro.quorums.theory import (
-    compose,
-    coterie_degree_profile,
-    dominating_extension,
-    is_nondominated,
-    minimal_transversals,
-)
-from repro.quorums.tree import TreeQuorumSystem
-from repro.quorums.wheel import WheelQuorumSystem
+from repro._lazy import lazy
 
-__all__ = [
-    "AvailabilityPoint",
-    "Coterie",
-    "ExplicitQuorumSystem",
-    "FPPQuorumSystem",
-    "GridQuorumSystem",
-    "GridSetQuorumSystem",
-    "HierarchicalQuorumSystem",
-    "MajorityQuorumSystem",
-    "Quorum",
-    "QuorumSystem",
-    "RSTQuorumSystem",
-    "SingletonQuorumSystem",
-    "TreeQuorumSystem",
-    "WheelQuorumSystem",
-    "availability_curve",
-    "compose",
-    "coterie_degree_profile",
-    "dominating_extension",
-    "exact_availability",
-    "is_nondominated",
-    "make_quorum_system",
-    "minimal_transversals",
-    "monte_carlo_availability",
-    "node_resilience",
-    "quorum_system_names",
-    "register_quorum_system",
-]
+__getattr__, __dir__, __all__ = lazy(
+    __name__,
+    {
+        "AvailabilityPoint": "repro.quorums.availability",
+        "availability_curve": "repro.quorums.availability",
+        "exact_availability": "repro.quorums.availability",
+        "monte_carlo_availability": "repro.quorums.availability",
+        "node_resilience": "repro.quorums.availability",
+        "Coterie": "repro.quorums.coterie",
+        "ExplicitQuorumSystem": "repro.quorums.coterie",
+        "Quorum": "repro.quorums.coterie",
+        "QuorumSystem": "repro.quorums.coterie",
+        "FPPQuorumSystem": "repro.quorums.fpp",
+        "GridQuorumSystem": "repro.quorums.grid",
+        "GridSetQuorumSystem": "repro.quorums.gridset",
+        "HierarchicalQuorumSystem": "repro.quorums.hierarchical",
+        "MajorityQuorumSystem": "repro.quorums.majority",
+        "make_quorum_system": "repro.quorums.registry",
+        "quorum_system_names": "repro.quorums.registry",
+        "register_quorum_system": "repro.quorums.registry",
+        "RSTQuorumSystem": "repro.quorums.rst",
+        "SingletonQuorumSystem": "repro.quorums.singleton",
+        "compose": "repro.quorums.theory",
+        "coterie_degree_profile": "repro.quorums.theory",
+        "dominating_extension": "repro.quorums.theory",
+        "is_nondominated": "repro.quorums.theory",
+        "minimal_transversals": "repro.quorums.theory",
+        "TreeQuorumSystem": "repro.quorums.tree",
+        "WheelQuorumSystem": "repro.quorums.wheel",
+    },
+)

@@ -6,25 +6,19 @@ proposes: updates serialized by the delay-optimal mutex
 (:class:`LockedRegisterSite`).
 """
 
-from repro.replication.locked import LockedRegisterSite
-from repro.replication.messages import (
-    ReadAck,
-    ReadReq,
-    Version,
-    WriteAck,
-    WriteReq,
-    ZERO_VERSION,
-)
-from repro.replication.replica import ReplicaRole, ReplicaSite
+from repro._lazy import lazy
 
-__all__ = [
-    "LockedRegisterSite",
-    "ReadAck",
-    "ReadReq",
-    "ReplicaRole",
-    "ReplicaSite",
-    "Version",
-    "WriteAck",
-    "WriteReq",
-    "ZERO_VERSION",
-]
+__getattr__, __dir__, __all__ = lazy(
+    __name__,
+    {
+        "LockedRegisterSite": "repro.replication.locked",
+        "ReadAck": "repro.replication.messages",
+        "ReadReq": "repro.replication.messages",
+        "Version": "repro.replication.messages",
+        "WriteAck": "repro.replication.messages",
+        "WriteReq": "repro.replication.messages",
+        "ZERO_VERSION": "repro.replication.messages",
+        "ReplicaRole": "repro.replication.replica",
+        "ReplicaSite": "repro.replication.replica",
+    },
+)

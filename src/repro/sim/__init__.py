@@ -10,45 +10,31 @@ network lossy/duplicating/reordering, :class:`ReliableTransport`
 rebuilds exactly-once FIFO delivery on top).
 """
 
-from repro.sim.event import Event, EventQueue
-from repro.sim.network import (
-    ConstantDelay,
-    DelayModel,
-    ExponentialDelay,
-    FaultModel,
-    GilbertElliott,
-    LogNormalDelay,
-    Network,
-    NetworkStats,
-    ParetoDelay,
-    UniformDelay,
-)
-from repro.sim.node import Node
-from repro.sim.rng import SeedSequence
-from repro.sim.simulator import Simulator
-from repro.sim.trace import NullTrace, Trace, TraceRecord
-from repro.sim.transport import ReliableConfig, ReliableTransport, TransportStats
+from repro._lazy import lazy
 
-__all__ = [
-    "ConstantDelay",
-    "DelayModel",
-    "Event",
-    "EventQueue",
-    "ExponentialDelay",
-    "FaultModel",
-    "GilbertElliott",
-    "LogNormalDelay",
-    "Network",
-    "NetworkStats",
-    "Node",
-    "NullTrace",
-    "ParetoDelay",
-    "ReliableConfig",
-    "ReliableTransport",
-    "SeedSequence",
-    "Simulator",
-    "Trace",
-    "TraceRecord",
-    "TransportStats",
-    "UniformDelay",
-]
+__getattr__, __dir__, __all__ = lazy(
+    __name__,
+    {
+        "Event": "repro.sim.event",
+        "EventQueue": "repro.sim.event",
+        "ConstantDelay": "repro.sim.network",
+        "DelayModel": "repro.sim.network",
+        "ExponentialDelay": "repro.sim.network",
+        "FaultModel": "repro.sim.network",
+        "GilbertElliott": "repro.sim.network",
+        "LogNormalDelay": "repro.sim.network",
+        "Network": "repro.sim.network",
+        "NetworkStats": "repro.sim.network",
+        "ParetoDelay": "repro.sim.network",
+        "UniformDelay": "repro.sim.network",
+        "Node": "repro.sim.node",
+        "SeedSequence": "repro.sim.rng",
+        "Simulator": "repro.sim.simulator",
+        "NullTrace": "repro.sim.trace",
+        "Trace": "repro.sim.trace",
+        "TraceRecord": "repro.sim.trace",
+        "ReliableConfig": "repro.sim.transport",
+        "ReliableTransport": "repro.sim.transport",
+        "TransportStats": "repro.sim.transport",
+    },
+)

@@ -19,13 +19,13 @@ Scheduling goes through one kernel API, :meth:`Simulator.schedule_call`:
 callbacks are stored as ``(fn, args)`` pairs so the hot path (one network
 delivery per message) allocates a single slotted event instead of a
 closure per send. :meth:`Simulator.schedule` remains as the zero-argument
-convenience wrapper.
+convenience wrapper; :meth:`Simulator.schedule_at` takes an absolute time.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.sim.event import Event, EventQueue
@@ -33,9 +33,7 @@ from repro.sim.network import DelayModel, FaultModel, Network, UniformDelay
 from repro.sim.node import Node
 from repro.sim.rng import SeedSequence
 from repro.sim.trace import NullTrace, Trace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.sim.transport import ReliableTransport
+from repro.sim.transport import ReliableConfig, ReliableTransport
 
 SiteId = int
 
@@ -100,7 +98,7 @@ class Simulator:
         )
         #: Optional reliable-channel layer (see :meth:`install_transport`);
         #: ``None`` means nodes talk straight to the raw network.
-        self.transport: Optional["ReliableTransport"] = None
+        self.transport: Optional[ReliableTransport] = None
         #: Number of events processed so far (cheap progress/health metric).
         self.events_processed = 0
         #: Time of the most recently processed event. Unlike :attr:`now`,
@@ -130,8 +128,6 @@ class Simulator:
         re-presents exactly-once FIFO delivery to ``on_message``. Call
         before :meth:`start`. Returns the transport for give-up wiring.
         """
-        from repro.sim.transport import ReliableConfig, ReliableTransport
-
         if self._started:
             raise SimulationError("cannot install a transport after start()")
         if self.transport is not None:
@@ -178,9 +174,22 @@ class Simulator:
         object. Returns the :class:`Event` handle, which supports
         ``cancel()``.
         """
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN, which would poison the clock
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self._queue.push(self._now + delay, fn, args, label)
+
+    def schedule_at(
+        self,
+        time: float,
+        fn: Callable[..., None],
+        args: Tuple[Any, ...] = (),
+        label: str = "",
+    ) -> Event:
+        """Schedule ``fn(*args)`` at absolute ``time`` — exactly that float,
+        which ``now + (time - now)`` through :meth:`schedule_call` is not."""
+        if not time >= self._now:
+            raise SimulationError(f"cannot schedule into the past (time={time})")
+        return self._queue.push(time, fn, args, label)
 
     # -- substrate send path ---------------------------------------------------
 

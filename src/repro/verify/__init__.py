@@ -1,35 +1,22 @@
 """Dynamic verification of the paper's theorems and protocol invariants."""
 
-import sys as _sys
+from repro._lazy import lazy
 
-from repro.verify.explore import ExplorationResult, build_world
-
-# Keep ``repro.verify.explore`` resolving to the model-checker *package*:
-# a bare ``from repro.verify.explore import explore`` here would rebind
-# this package's ``explore`` attribute to the function, shadowing the
-# submodule — and ``import repro.verify.explore as ex`` (the paper-gap
-# test's ``_ExploreSite`` monkeypatch hook) resolves through exactly
-# that attribute.
-explore = _sys.modules["repro.verify.explore"]
-from repro.verify.checker import (
-    check_arbiter_invariants,
-    check_quiescent,
-    lock_holders,
+__getattr__, __dir__, __all__ = lazy(
+    __name__,
+    {
+        "check_arbiter_invariants": "repro.verify.checker",
+        "check_quiescent": "repro.verify.checker",
+        "lock_holders": "repro.verify.checker",
+        "ExplorationResult": "repro.verify.explore",
+        "build_world": "repro.verify.explore",
+        "check_mutual_exclusion": "repro.verify.invariants",
+        "check_progress": "repro.verify.invariants",
+        "check_sequential_per_site": "repro.verify.invariants",
+    },
+    # ``explore`` is the model-checker *package*, never the function of
+    # the same name inside it: ``import repro.verify.explore as ex`` (the
+    # paper-gap test's ``_ExploreSite`` monkeypatch hook) resolves
+    # through exactly this attribute.
+    submodules=("explore",),
 )
-from repro.verify.invariants import (
-    check_mutual_exclusion,
-    check_progress,
-    check_sequential_per_site,
-)
-
-__all__ = [
-    "ExplorationResult",
-    "build_world",
-    "check_arbiter_invariants",
-    "check_mutual_exclusion",
-    "check_progress",
-    "check_quiescent",
-    "check_sequential_per_site",
-    "explore",
-    "lock_holders",
-]

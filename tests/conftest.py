@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.runner import RunConfig, RunResult, run_mutex
@@ -36,3 +41,25 @@ def heavy_run(
 def run_heavy():
     """Fixture exposing :func:`heavy_run`."""
     return heavy_run
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports ``repro`` from this
+    tree; it must exit 0. Returns its standard output."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.fixture
+def fresh_python():
+    """Fixture exposing :func:`_fresh_python` (what a new process imports
+    can only be observed in one)."""
+    return _fresh_python

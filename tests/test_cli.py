@@ -89,6 +89,9 @@ def test_experiment_ids_registered():
     for exp_id in ("E1", "E2", "E3", "E4", "E5", "E6", "E7a", "E7b", "E8",
                    "E9", "E13", "E14", "E15", "E16"):
         assert exp_id in EXPERIMENTS
+    from repro import experiments
+
+    assert all(callable(getattr(experiments, name)) for name in EXPERIMENTS.values())
 
 
 def test_experiment_command_csv(capsys):
@@ -329,3 +332,20 @@ def test_net_run_command_json_output(tmp_path, capsys):
     assert report["completed"] == 3
     assert report["violations"] == []
     assert report["message_complexity_c"] is None  # non-quorum algorithm
+
+
+def test_trace_help_loads_no_experiment_module_and_no_process_pool(fresh_python):
+    # Experiments resolve at dispatch through the lazy package, so a
+    # subcommand that runs none of them pays for none of them.
+    out = fresh_python(
+        "import sys\n"
+        "from repro.cli import main\n"
+        "try:\n"
+        "    main(['trace', '--help'])\n"
+        "except SystemExit as done:\n"
+        "    assert done.code == 0\n"
+        "loaded = [m for m in ('repro.experiments.table1', 'multiprocessing')"
+        " if m in sys.modules]\n"
+        "print('LOADED', loaded)\n"
+    )
+    assert out.splitlines()[-1] == "LOADED []"

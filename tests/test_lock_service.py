@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from itertools import islice
 
 import pytest
 
@@ -24,8 +26,10 @@ from repro.locks import (
 )
 from repro.parallel.cache import RunCache
 from repro.parallel.pool import TrialPool
+from repro.sim.network import FaultModel
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
+from repro.workload.arrivals import PoissonArrivals
 
 
 def _config(**overrides) -> LockRunConfig:
@@ -54,6 +58,58 @@ def test_summary_dict_is_byte_identical_across_runs():
     assert json.dumps(first, sort_keys=True) == json.dumps(
         second, sort_keys=True
     )
+
+
+def _materialized_population(config: LockRunConfig):
+    """The up-front ``(time, client, key)`` list the runner used to build
+    before the run; streaming must observe exactly this sequence."""
+    sim = Simulator(seed=config.seed)
+    arrival_rng = sim.rng("locks/arrivals")
+    times = list(
+        islice(
+            PoissonArrivals(config.arrival_rate).times(arrival_rng, math.inf),
+            config.n_requests,
+        )
+    )
+    population_rng = sim.rng("locks/population")
+    sampler = config.make_sampler()
+    population = []
+    for when in times:
+        client = population_rng.randrange(config.n_clients)
+        key = f"lock-{sampler.sample(population_rng)}"
+        population.append((when, client, key))
+    return population
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(key_skew=1.2),
+        dict(key_skew=0.0, n_keys=5000),
+        dict(key_skew=0.5, n_sites=5, crashes=2, fault_model=FaultModel(loss=0.02)),
+    ],
+    ids=["zipf-hot", "uniform-cold", "crash-lossy"],
+)
+def test_streamed_arrivals_equal_the_materialized_population(overrides, seed):
+    config = _config(seed=seed, **overrides)
+    result = run_lock_service(config)
+    observed = [(r.submit_time, r.client, r.key) for r in result.service.requests]
+    assert observed == _materialized_population(config)  # floats by ==
+
+
+def test_event_heap_holds_what_is_in_flight_not_the_whole_future(monkeypatch):
+    depths = []
+    run = Simulator.run
+
+    def observed_run(sim, until=None, max_events=None, observer=None):
+        run(sim, until, max_events, lambda label, s: depths.append(sim.pending_events()))
+
+    monkeypatch.setattr(Simulator, "run", observed_run)
+    result = run_lock_service(_config(n_requests=2000))
+    assert result.summary.completed == 2000
+    assert len(depths) == result.sim.events_processed
+    assert max(depths) < 500  # every arrival was queued up front: >= 2000
 
 
 def test_trial_pool_workers_do_not_change_summaries():

@@ -161,3 +161,20 @@ def test_duplicate_addition_of_a_site_is_rejected():
     sub.add_node(Echo(0))
     with pytest.raises(ConfigurationError):
         sub.add_node(Echo(0))
+
+
+def test_nan_delay_is_refused_not_handed_to_the_loop():
+    from repro.errors import ConfigurationError
+
+    async def drive():
+        sub = NetSubstrate(0, NetRunConfig(n_sites=1))
+        sub.add_node(Echo(0))
+        await sub.start()
+        try:
+            with pytest.raises(ConfigurationError):
+                sub.schedule_call(float("nan"), lambda: None)
+            sub.schedule_call(-1.0, lambda: None).cancel()  # negative still clamps
+        finally:
+            sub.close()
+
+    asyncio.run(drive())

@@ -60,6 +60,31 @@ def test_schedule_negative_delay_rejected():
         sim.schedule(-0.1, lambda: None)
 
 
+def test_nan_delay_or_time_rejected_before_it_poisons_the_clock():
+    sim = Simulator(seed=1)
+    with pytest.raises(SimulationError):
+        sim.schedule_call(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), lambda: None)
+    sim.run()
+    assert sim.now == 0.0 and sim.pending_events() == 0
+
+
+def test_schedule_at_fires_at_exactly_the_given_time():
+    # 0.1 + (0.3 - 0.1) is 0.30000000000000004: a delay cannot say "at 0.3".
+    sim = Simulator()
+    fired = []
+    sim.schedule_call(0.1, lambda: sim.schedule_at(0.3, fired.append, (1,), "x"))
+    sim.run()
+    assert sim.now == 0.3 and fired == [1]
+    with pytest.raises(SimulationError):
+        sim.schedule_at(0.2, fired.append, (2,))
+    handle = sim.schedule_at(0.3, fired.append, (3,))  # "now" is allowed
+    handle.cancel()
+    sim.run()
+    assert fired == [1]
+
+
 def test_run_until_is_inclusive_and_advances_clock():
     sim = Simulator()
     fired = []
