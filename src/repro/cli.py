@@ -119,11 +119,18 @@ def _add_scenario_args(run_p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_chaos_args(run_p: argparse.ArgumentParser) -> None:
-    """Fault/chaos flags shared by the ``run`` and ``trace`` subcommands."""
+#: No registry algorithm has failure handling to survive a crash, so
+#: ``run`` and ``trace`` offer only the presets without crash cycles.
+_CRASH_FREE_PRESETS = [n for n, p in CHAOS_PRESETS.items() if not p["crashes"]]
+
+
+def _add_chaos_args(
+    run_p: argparse.ArgumentParser, presets=_CRASH_FREE_PRESETS
+) -> None:
+    """Fault/chaos flags shared by ``run``, ``trace`` and ``locks run``."""
     _add_fault_args(run_p)
     run_p.add_argument(
-        "--fault-plan", default=None, choices=sorted(CHAOS_PRESETS),
+        "--fault-plan", default=None, choices=sorted(presets),
         help="seeded chaos schedule to overlay on the run",
     )
     run_p.add_argument(
@@ -404,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lease-window", type=float, default=2.0, metavar="W",
         help="retention window in time units (with --lease)",
     )
-    _add_chaos_args(locks_run)
+    _add_chaos_args(locks_run, CHAOS_PRESETS)
     locks_run.add_argument(
         "--crash", type=int, default=0, metavar="N",
         help="seeded crash/rejoin cycles per shard (distinct sites)",

@@ -76,6 +76,22 @@ def test_run_command_with_fault_plan(capsys):
     assert "maekawa" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_crash_preset_rejected_without_failure_handling(command, capsys):
+    # No registry algorithm survives a crash: argparse refuses the only
+    # preset with crash cycles instead of a traceback mid-run.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-a", "cao-singhal", "--saturate", "2",
+              "--fault-plan", "churn"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'churn'" in capsys.readouterr().err
+
+
+def test_locks_run_keeps_crash_preset():
+    args = build_parser().parse_args(["locks", "run", "--fault-plan", "churn"])
+    assert args.fault_plan == "churn"
+
+
 def test_clean_run_keeps_reliable_layer_off(capsys):
     code = main(
         ["run", "-a", "cao-singhal", "--saturate", "3", "--delay", "constant:1"]
