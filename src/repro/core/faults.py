@@ -420,9 +420,7 @@ class FaultTolerantSite(CaoSinghalSite):
         # starts, so an in-flight request keeps the quorum it asked.
 
     def reset_after_recovery(
-        self,
-        known_failed: Optional[Iterable[SiteId]] = None,
-        clear_backlog: bool = False,
+        self, known_failed: Optional[Iterable[SiteId]] = None
     ) -> None:
         """Rebuild this site's volatile state after a crash.
 
@@ -430,19 +428,14 @@ class FaultTolerantSite(CaoSinghalSite):
         with a free arbiter lock, an empty queue, and no request in
         flight. Any CS request that was open at crash time is abandoned
         (reported to the listener so metrics close the record); the local
-        backlog of not-yet-started requests is preserved and resumes —
-        unless ``clear_backlog`` is set, for callers (the lock service)
-        that already rerouted the queued work elsewhere and must not see
-        it replayed. ``known_failed`` seeds the failure view (in a
-        deployment the rejoin handshake supplies it; the injector does
-        here).
+        backlog of not-yet-started requests is preserved and resumes.
+        ``known_failed`` seeds the failure view (in a deployment the
+        rejoin handshake supplies it; the injector does here).
         """
         from repro.core.state import ArbiterState, RequesterState
 
         if self.state is not SiteState.IDLE:
             self.listener.on_abandon(self.site_id, self.now)
-        if clear_backlog:
-            self.backlog = 0
         self.state = SiteState.IDLE
         self.arbiter = ArbiterState()
         self.req = RequesterState()

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from repro.core.faults import FaultTolerantSite
 from repro.experiments.report import ExperimentReport
-from repro.ft.recovery import ChurnPlan
+from repro.ft.chaos import CrashCycle, install_crash_cycles
 from repro.metrics.collector import MetricsCollector
 from repro.quorums.registry import make_quorum_system
 from repro.sim.network import ConstantDelay
@@ -50,13 +50,13 @@ def _run_once(
         for _ in range(requests_per_site):
             sim.schedule(0.0, site.submit_request)
     if churn:
-        plan = ChurnPlan()
         # Two rotating victims per cycle, staggered half a cycle apart.
-        plan.churn(0, crash_at=cycle / 6, recover_at=cycle / 6 + down_time,
-                   detection_delay=1.5)
-        plan.churn(n_sites - 1, crash_at=cycle / 2,
-                   recover_at=cycle / 2 + down_time, detection_delay=1.5)
-        plan.install(sim, sites)
+        install_crash_cycles(sim, sites, [
+            CrashCycle(0, crash_at=cycle / 6, recover_at=cycle / 6 + down_time,
+                       detection_delay=1.5),
+            CrashCycle(n_sites - 1, crash_at=cycle / 2,
+                       recover_at=cycle / 2 + down_time, detection_delay=1.5),
+        ])
     sim.start()
     sim.run(until=1_000_000.0)
     check_mutual_exclusion(collector.records)

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.faults import FaultTolerantSite
 from repro.experiments.report import ExperimentReport
-from repro.ft.recovery import CrashPlan
+from repro.ft.chaos import CrashCycle, install_crash_cycles
 from repro.metrics.collector import MetricsCollector
 from repro.quorums.availability import availability_curve
 from repro.quorums.registry import make_quorum_system
@@ -76,10 +76,14 @@ def run_recovery(
         sim.add_node(site)
         for _ in range(requests_per_site):
             sim.schedule(0.0, site.submit_request)
-    plan = CrashPlan()
-    for site_id, at in zip(crashes, crash_times):
-        plan.crash(site_id, at, detection_delay=2.0)
-    plan.install(sim, sites)
+    install_crash_cycles(
+        sim,
+        sites,
+        [
+            CrashCycle(site_id, at, detection_delay=2.0)
+            for site_id, at in zip(crashes, crash_times)
+        ],
+    )
     sim.start()
     sim.run(until=500_000.0)
 

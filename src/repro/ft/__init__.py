@@ -13,10 +13,9 @@ __getattr__, __dir__, __all__ = lazy(
         "LinkCut": "repro.ft.chaos",
         "LossBurst": "repro.ft.chaos",
         "chaos_preset": "repro.ft.chaos",
+        "install_crash_cycles": "repro.ft.chaos",
         "Heartbeat": "repro.ft.detector",
         "HeartbeatMonitor": "repro.ft.detector",
-        "ChurnPlan": "repro.ft.recovery",
-        "CrashPlan": "repro.ft.recovery",
         "MonitoredSite": "repro.ft.recovery",
     },
 )

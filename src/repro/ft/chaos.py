@@ -21,8 +21,9 @@ be built with a :class:`~repro.sim.network.FaultModel` (an all-zero model
 suffices; :func:`repro.experiments.runner.build_run` installs one
 automatically when a chaos plan is configured). Crash cycles require
 fault-tolerant sites (``notify_failure``/``reset_after_recovery``); the
-plan delegates them to the Section 6 injectors in
-:mod:`repro.ft.recovery`. Link cuts and heals work on any topology.
+plan hands them to :func:`install_crash_cycles`, the one Section 6
+oracle injector, which the E7b/E11 experiments and the lock service's
+per-shard crashes use too. Link cuts and heals work on any topology.
 """
 
 from __future__ import annotations
@@ -68,14 +69,83 @@ class LinkCut:
 @dataclass(frozen=True)
 class CrashCycle:
     """Fail-stop crash of ``site`` at ``crash_at``; if ``recover_at`` is
-    set the site later rejoins with volatile state reset. ``failure`` /
-    ``recovery`` notices reach live peers ``detection_delay`` after each
-    transition (oracle detector, as in :class:`repro.ft.recovery.ChurnPlan`)."""
+    set the site later rejoins with volatile state reset, else it stays
+    down. ``failure`` / ``recovery`` notices reach live peers
+    ``detection_delay`` after each transition (oracle detector; see
+    :func:`install_crash_cycles`)."""
 
     site: SiteId
     crash_at: float
     recover_at: Optional[float] = None
     detection_delay: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.crash_at < 0:
+            raise ConfigurationError(f"crash_at must be >= 0, got {self.crash_at}")
+        if self.recover_at is not None and self.recover_at <= self.crash_at:
+            raise ConfigurationError(
+                f"recover_at ({self.recover_at}) must exceed crash_at "
+                f"({self.crash_at})"
+            )
+        if self.detection_delay < 0:
+            raise ConfigurationError("detection_delay must be >= 0")
+
+
+def install_crash_cycles(
+    substrate, sites: Sequence, cycles: Sequence[CrashCycle]
+) -> None:
+    """Schedule the Section 6 oracle pipeline for every crash cycle.
+
+    Per cycle, in list order: crash at ``crash_at``; ``failure(site)``
+    to every live peer ``detection_delay`` later; and, with
+    ``recover_at`` set, recovery with volatile state reset (seeded with
+    the sites still down), then ``detection_delay`` later readmission:
+    ``recovery(site)`` to every live peer and ``complete_rejoin``. A
+    peer thus sees the recovery only after its failure cleanup ran
+    (``notify_recovery`` forces the cleanup when notices race).
+
+    ``substrate`` needs only ``schedule_call``, ``crash`` and
+    ``recover``: the simulator, or a lock shard's view, whose crash
+    hooks let the service fail over. ``sites`` are the fault-tolerant
+    sites under the ids those take. Call before the run starts.
+    """
+    from repro.core.faults import FaultTolerantSite
+
+    by_id = {s.site_id: s for s in sites}
+    for site in sites:
+        if not isinstance(site, FaultTolerantSite):
+            raise ConfigurationError(
+                f"crash cycles need fault-tolerant sites; site {site.site_id} "
+                f"is {type(site).__name__}, which has no failure handling"
+            )
+    for cycle in cycles:
+        if cycle.site not in by_id:
+            raise ConfigurationError(f"no site {cycle.site} in this run")
+
+    def detect(victim: SiteId) -> None:
+        for s in sites:
+            if s.site_id != victim and not s.crashed:
+                s.notify_failure(victim)
+
+    def recover(victim: SiteId) -> None:
+        substrate.recover(victim)
+        still_failed = {s.site_id for s in sites if s.crashed}
+        by_id[victim].reset_after_recovery(known_failed=still_failed)
+
+    def readmit(victim: SiteId) -> None:
+        for s in sites:
+            if s.site_id != victim and not s.crashed:
+                s.notify_recovery(victim)
+        by_id[victim].complete_rejoin()
+
+    for c in cycles:
+        steps = [("crash", c.crash_at, substrate.crash),
+                 ("detect", c.crash_at + c.detection_delay, detect)]
+        if c.recover_at is not None:
+            steps += [("recover", c.recover_at, recover),
+                      ("readmit", c.recover_at + c.detection_delay, readmit)]
+        for kind, at, fn in steps:
+            substrate.schedule_call(at, fn, (c.site,), f"{kind}:{c.site}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +159,7 @@ class FaultBudget:
     the untimed projection of :class:`FaultPlan`'s:
 
     * ``crashes`` — fail-stop crash cycles (crash → oracle detection on
-      every live peer, as in :class:`repro.ft.recovery.ChurnPlan`);
+      every live peer, as :func:`install_crash_cycles` schedules them);
     * ``recoveries`` — how many of those cycles later recover and rejoin
       (``recoveries <= crashes``; the first ``recoveries`` crashes get
       the full crash/detect/recover/readmit pipeline, the rest stay
@@ -241,14 +311,6 @@ class FaultPlan:
         detection_delay: float = 2.0,
     ) -> "FaultPlan":
         """Crash ``site`` at ``crash_at``; optionally recover later."""
-        if crash_at < 0:
-            raise ConfigurationError(f"crash_at must be >= 0, got {crash_at}")
-        if recover_at is not None and recover_at <= crash_at:
-            raise ConfigurationError(
-                f"recover_at ({recover_at}) must exceed crash_at ({crash_at})"
-            )
-        if detection_delay < 0:
-            raise ConfigurationError("detection_delay must be >= 0")
         self.crashes.append(CrashCycle(site, crash_at, recover_at, detection_delay))
         return self
 
@@ -286,35 +348,7 @@ class FaultPlan:
                 cut.end, sim.network.heal, (cut.a, cut.b), "chaos:heal"
             )
         if self.crashes:
-            self._install_crashes(sim, sites)
-
-    def _install_crashes(self, sim: Simulator, sites: Sequence) -> None:
-        from repro.core.faults import FaultTolerantSite
-        from repro.ft.recovery import ChurnPlan, CrashPlan
-
-        ft_sites = [s for s in sites if isinstance(s, FaultTolerantSite)]
-        if len(ft_sites) != len(sites):
-            raise ConfigurationError(
-                "chaos crash cycles need fault-tolerant sites "
-                "(FaultTolerantSite / MonitoredSite); this run's algorithm "
-                "has no failure handling to survive them"
-            )
-        churn = ChurnPlan()
-        crash_only = CrashPlan()
-        for cycle in self.crashes:
-            if cycle.recover_at is None:
-                crash_only.crash(cycle.site, cycle.crash_at, cycle.detection_delay)
-            else:
-                churn.churn(
-                    cycle.site,
-                    cycle.crash_at,
-                    cycle.recover_at,
-                    cycle.detection_delay,
-                )
-        if churn.entries:
-            churn.install(sim, ft_sites)
-        if crash_only.entries:
-            crash_only.install(sim, ft_sites)
+            install_crash_cycles(sim, sites, self.crashes)
 
 
 @dataclass(frozen=True)

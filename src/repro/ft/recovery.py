@@ -1,31 +1,24 @@
-"""Failure injection and the full monitored fault-tolerant site.
+"""The full monitored fault-tolerant site.
 
-Two ways to drive the Section 6 recovery protocol:
-
-* :class:`MonitoredSite` — a
-  :class:`~repro.core.faults.FaultTolerantSite` with an embedded
-  :class:`~repro.ft.detector.HeartbeatMonitor`; on suspicion it broadcasts
-  the paper's ``failure(i)`` notice. Fully message-driven, end-to-end
-  realistic.
-* :class:`CrashPlan` — an oracle injector for deterministic experiments:
-  crashes a site at a chosen time and delivers ``failure(i)`` notices to
-  every live site after a fixed detection latency, without heartbeat
-  traffic polluting the message counters.
+:class:`MonitoredSite` — a :class:`~repro.core.faults.FaultTolerantSite`
+with an embedded :class:`~repro.ft.detector.HeartbeatMonitor` — drives
+the Section 6 recovery protocol fully message-driven: on suspicion it
+broadcasts the paper's ``failure(i)`` notice. Deterministic experiments
+use the oracle injector :func:`repro.ft.chaos.install_crash_cycles`
+instead, which delivers ``failure(i)`` after a fixed detection latency
+without heartbeat traffic polluting the message counters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Optional
 
 from repro.core.faults import FaultTolerantSite
 from repro.core.messages import FailureNotice
-from repro.errors import ConfigurationError
 from repro.ft.detector import Heartbeat, HeartbeatMonitor
 from repro.mutex.base import DurationSpec, RunListener
 from repro.quorums.coterie import QuorumSystem
 from repro.substrate import SiteId
-from repro.sim.simulator import Simulator
 
 
 class MonitoredSite(FaultTolerantSite):
@@ -75,139 +68,3 @@ class MonitoredSite(FaultTolerantSite):
         if isinstance(message, Heartbeat):
             return
         super().on_message(src, message)
-
-
-@dataclass
-class ChurnPlan:
-    """Crash *and recovery* schedule (rejoin extension, not in the paper).
-
-    Each entry crashes a site at ``crash_at``, delivers ``failure``
-    notices ``detection_delay`` later, recovers the site at
-    ``recover_at`` (its volatile state is reset — fail-stop recovery),
-    and delivers recovery notices ``detection_delay`` after that. Sound
-    under the oracle ordering the injector enforces: a site's recovery
-    notice reaches every live peer only after its failure cleanup ran
-    there (``notify_recovery`` forces the cleanup when notices race).
-    """
-
-    @dataclass(frozen=True)
-    class Entry:
-        site: SiteId
-        crash_at: float
-        recover_at: float
-        detection_delay: float = 2.0
-
-    entries: List["ChurnPlan.Entry"] = field(default_factory=list)
-
-    def churn(
-        self,
-        site: SiteId,
-        crash_at: float,
-        recover_at: float,
-        detection_delay: float = 2.0,
-    ) -> "ChurnPlan":
-        """Add one crash/recover cycle (chainable)."""
-        if not 0 <= crash_at < recover_at:
-            raise ConfigurationError(
-                f"need 0 <= crash_at < recover_at, got {crash_at}, {recover_at}"
-            )
-        if detection_delay < 0:
-            raise ConfigurationError("detection_delay must be >= 0")
-        self.entries.append(self.Entry(site, crash_at, recover_at, detection_delay))
-        return self
-
-    def install(self, sim: Simulator, sites: Sequence[FaultTolerantSite]) -> None:
-        """Schedule every cycle's crash, detection, recovery, readmission."""
-        by_id = {s.site_id: s for s in sites}
-        for entry in self.entries:
-            if entry.site not in by_id:
-                raise ConfigurationError(f"no site {entry.site} in this run")
-
-            def crash(e=entry):
-                sim.crash(e.site)
-
-            def detect(e=entry):
-                for s in sites:
-                    if s.site_id != e.site and not s.crashed:
-                        s.notify_failure(e.site)
-
-            def recover(e=entry):
-                sim.recover(e.site)
-                alive_view = set()
-                for s in sites:
-                    if s.crashed:
-                        alive_view.add(s.site_id)
-                by_id[e.site].reset_after_recovery(known_failed=alive_view)
-
-            def readmit(e=entry):
-                for s in sites:
-                    if s.site_id != e.site and not s.crashed:
-                        s.notify_recovery(e.site)
-                by_id[e.site].complete_rejoin()
-
-            sim.schedule(entry.crash_at, crash, label=f"crash:{entry.site}")
-            sim.schedule(
-                entry.crash_at + entry.detection_delay,
-                detect,
-                label=f"detect:{entry.site}",
-            )
-            sim.schedule(entry.recover_at, recover, label=f"recover:{entry.site}")
-            sim.schedule(
-                entry.recover_at + entry.detection_delay,
-                readmit,
-                label=f"readmit:{entry.site}",
-            )
-
-
-@dataclass
-class CrashPlan:
-    """Deterministic crash schedule for experiments.
-
-    Each entry crashes ``site`` at ``at_time``; every live site receives a
-    ``failure(site)`` notice ``detection_delay`` later (modelling a perfect
-    detector with fixed latency, so recovery behaviour is measured without
-    heartbeat noise).
-    """
-
-    @dataclass(frozen=True)
-    class Entry:
-        site: SiteId
-        at_time: float
-        detection_delay: float = 2.0
-
-    entries: List["CrashPlan.Entry"] = field(default_factory=list)
-
-    def crash(self, site: SiteId, at_time: float, detection_delay: float = 2.0) -> "CrashPlan":
-        """Add a crash entry (chainable)."""
-        if at_time < 0 or detection_delay < 0:
-            raise ConfigurationError("crash times must be non-negative")
-        self.entries.append(self.Entry(site, at_time, detection_delay))
-        return self
-
-    def install(self, sim: Simulator, sites: Sequence[FaultTolerantSite]) -> None:
-        """Schedule all crashes and their detection notices."""
-        by_id = {s.site_id: s for s in sites}
-        for entry in self.entries:
-            if entry.site not in by_id:
-                raise ConfigurationError(f"no site {entry.site} in this run")
-
-            def make_crash(e: "CrashPlan.Entry"):
-                def do_crash() -> None:
-                    sim.crash(e.site)
-
-                return do_crash
-
-            def make_detect(e: "CrashPlan.Entry"):
-                def do_detect() -> None:
-                    for s in sites:
-                        if s.site_id != e.site and not s.crashed:
-                            s.notify_failure(e.site)
-
-                return do_detect
-
-            sim.schedule(entry.at_time, make_crash(entry), label=f"crash:{entry.site}")
-            sim.schedule(
-                entry.at_time + entry.detection_delay,
-                make_detect(entry),
-                label=f"detect:{entry.site}",
-            )

@@ -19,9 +19,7 @@ __getattr__, __dir__, __all__ = lazy(
         "KeyConformanceChecker": "repro.locks.conformance",
         "check_key_mutual_exclusion": "repro.locks.conformance",
         "RetryPolicy": "repro.locks.faults",
-        "ShardCrashCycle": "repro.locks.faults",
         "derive_shard_crashes": "repro.locks.faults",
-        "install_shard_churn": "repro.locks.faults",
         "LockRequest": "repro.locks.frontend",
         "ShardFrontEnd": "repro.locks.frontend",
         "ShardRouter": "repro.locks.router",

@@ -2,14 +2,13 @@
 
 Two halves of the service's failure story live here:
 
-* **Server side** — :class:`ShardCrashCycle` entries (derived
-  deterministically per shard from a shard-qualified RNG stream by
-  :func:`derive_shard_crashes`) and :func:`install_shard_churn`, which
-  schedules the oracle crash → detect → recover → readmit sequence the
-  single-resource :class:`~repro.ft.recovery.ChurnPlan` uses, but
-  translated through a :class:`~repro.locks.substrate.ShardView` so the
-  ``N`` local protocol sites of shard ``s`` crash and rejoin inside the
-  shared simulator. The mutex sites must be
+* **Server side** — :func:`derive_shard_crashes`, which draws one
+  shard's :class:`~repro.ft.chaos.CrashCycle` list deterministically
+  from a shard-qualified RNG stream. The service hands it to
+  :func:`~repro.ft.chaos.install_crash_cycles` with the shard's view
+  (:mod:`repro.locks.substrate`) as substrate, so the ``N``
+  local protocol sites of shard ``s`` crash and rejoin inside the shared
+  simulator. The mutex sites must be
   :class:`~repro.core.faults.FaultTolerantSite` instances — the Section 6
   recovery protocol (failure notices, lock recovery via probes, rejoin
   reconciliation) is what keeps the shard's CS live across the crash.
@@ -23,22 +22,13 @@ Two halves of the service's failure story live here:
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, List, Sequence
+from typing import List
 
 from repro.common import slotted_dataclass
-from repro.core.faults import FaultTolerantSite
 from repro.errors import ConfigurationError
-from repro.substrate import SiteId
+from repro.ft.chaos import CrashCycle
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.locks.substrate import ShardView
-
-__all__ = [
-    "RetryPolicy",
-    "ShardCrashCycle",
-    "derive_shard_crashes",
-    "install_shard_churn",
-]
+__all__ = ["RetryPolicy", "derive_shard_crashes"]
 
 
 @slotted_dataclass(frozen=True)
@@ -94,21 +84,6 @@ class RetryPolicy:
         return min(self.cap, jittered)
 
 
-@slotted_dataclass(frozen=True)
-class ShardCrashCycle:
-    """One shard-local crash (and optional recovery) of one protocol site.
-
-    ``site`` is the shard-*local* id; ``recover_at`` of ``None`` means a
-    permanent fail-stop (the CrashPlan flavour), otherwise the site
-    rejoins via ``reset_after_recovery`` + ``complete_rejoin``.
-    """
-
-    site: SiteId
-    crash_at: float
-    recover_at: "float | None" = None
-    detection_delay: float = 2.0
-
-
 def derive_shard_crashes(
     rng: random.Random,
     n_sites: int,
@@ -116,7 +91,7 @@ def derive_shard_crashes(
     horizon: float,
     downtime: float,
     detection_delay: float,
-) -> List[ShardCrashCycle]:
+) -> List[CrashCycle]:
     """Deterministic per-shard crash schedule from a shard RNG stream.
 
     Draws ``crashes`` cycles hitting *distinct* local sites at times
@@ -146,7 +121,7 @@ def derive_shard_crashes(
         hi = horizon * (0.2 + 0.6 * (index + 1) / max(1, crashes))
         crash_at = rng.uniform(lo, hi)
         cycles.append(
-            ShardCrashCycle(
+            CrashCycle(
                 site=site,
                 crash_at=crash_at,
                 recover_at=(crash_at + downtime) if downtime > 0 else None,
@@ -154,72 +129,3 @@ def derive_shard_crashes(
             )
         )
     return cycles
-
-
-def install_shard_churn(
-    view: "ShardView",
-    sites: Sequence["FaultTolerantSite"],
-    cycles: Sequence[ShardCrashCycle],
-) -> None:
-    """Schedule crash/detect/recover/readmit for one shard's cycles.
-
-    Mirrors :meth:`repro.ft.recovery.ChurnPlan.install` with the id
-    translation the sharded substrate needs: the simulator crashes the
-    *global* node (which reaches the front end through the view's crash
-    hooks), while failure/recovery notices use shard-*local* ids. The
-    rejoining site's preserved backlog is cleared — the service already
-    rerouted its queued acquires to a surviving site, so replaying them
-    would double-submit.
-    """
-    by_id = {s.site_id: s for s in sites}
-    for site in sites:
-        if not isinstance(site, FaultTolerantSite):
-            raise ConfigurationError(
-                f"shard {view.index} site {site.site_id} is "
-                f"{type(site).__name__}; crash cycles need "
-                "FaultTolerantSite arbiters"
-            )
-    sim = view.sim
-    for cycle in cycles:
-        if cycle.site not in by_id:
-            raise ConfigurationError(
-                f"no site {cycle.site} in shard {view.index}"
-            )
-
-        def crash(c=cycle):
-            view.crash(c.site)
-
-        def detect(c=cycle):
-            for s in sites:
-                if s.site_id != c.site and not s.crashed:
-                    s.notify_failure(c.site)
-
-        def recover(c=cycle):
-            view.recover(c.site)
-            still_failed = {s.site_id for s in sites if s.crashed}
-            by_id[c.site].reset_after_recovery(
-                known_failed=still_failed, clear_backlog=True
-            )
-
-        def readmit(c=cycle):
-            for s in sites:
-                if s.site_id != c.site and not s.crashed:
-                    s.notify_recovery(c.site)
-            by_id[c.site].complete_rejoin()
-
-        tag = f"{view.index}/{cycle.site}"
-        sim.schedule(cycle.crash_at, crash, label=f"lock-crash:{tag}")
-        sim.schedule(
-            cycle.crash_at + cycle.detection_delay,
-            detect,
-            label=f"lock-detect:{tag}",
-        )
-        if cycle.recover_at is not None:
-            sim.schedule(
-                cycle.recover_at, recover, label=f"lock-recover:{tag}"
-            )
-            sim.schedule(
-                cycle.recover_at + cycle.detection_delay,
-                readmit,
-                label=f"lock-readmit:{tag}",
-            )

@@ -288,7 +288,9 @@ class ShardFrontEnd:
         return stranded, orphaned
 
     def on_site_recovered(self) -> None:
-        """The hosted site is back (clean, rejoining); accept work again."""
+        """The hosted site is back (clean, rejoining); accept work again.
+        Its backlog was rerouted at the crash: drop it, never replay it."""
+        self.mutex_site.backlog = 0
         self.state = _FrontEndState.IDLE
 
     # -- batch machinery --------------------------------------------------------

@@ -29,8 +29,8 @@ under the fail-stop model:
   volatile state, and if it was inside the CS the occupancy count drops
   (the permission is logically lost; recovery reconciles the arbiters).
 * ``detect i`` — the oracle detector fires: every live peer processes
-  ``failure(i)`` atomically, exactly like :class:`~repro.ft.recovery.
-  ChurnPlan`'s detection event.
+  ``failure(i)`` atomically, exactly like the detection event
+  :func:`~repro.ft.chaos.install_crash_cycles` schedules.
 * ``recover i`` — volatile state reset (``reset_after_recovery``) with
   the oracle's view of who else is still down.
 * ``readmit i`` — every live peer processes ``recovery(i)`` and the

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.faults import FaultTolerantSite
 from repro.experiments.runner import RunConfig, run_mutex
-from repro.ft.recovery import ChurnPlan
+from repro.ft.chaos import FaultPlan
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.timeline import render_timeline
 from repro.quorums import MajorityQuorumSystem, TreeQuorumSystem
@@ -93,7 +93,7 @@ def test_ft_sites_with_lognormal_wan_delays_and_churn():
         sim.add_node(s)
         for _ in range(4):
             sim.schedule(0.0, s.submit_request)
-    ChurnPlan().churn(4, crash_at=5.0, recover_at=25.0, detection_delay=2.0).install(
+    FaultPlan().crash(4, crash_at=5.0, recover_at=25.0, detection_delay=2.0).install(
         sim, sites
     )
     sim.start()

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.faults import FaultTolerantSite
 from repro.ft.detector import HeartbeatMonitor
-from repro.ft.recovery import CrashPlan, MonitoredSite
+from repro.ft.chaos import FaultPlan
+from repro.ft.recovery import MonitoredSite
 from repro.metrics.collector import MetricsCollector
 from repro.quorums.registry import make_quorum_system
 from repro.sim.network import ConstantDelay, ExponentialDelay
@@ -94,9 +95,9 @@ def test_availability_degrades_then_sites_report_inaccessible():
     # Victims idle; survivors each submit one request *after* the crashes.
     for s in sites[:2]:
         sim.schedule(20.0, s.submit_request)
-    plan = CrashPlan()
+    plan = FaultPlan()
     for i, victim in enumerate((2, 3, 4)):
-        plan.crash(victim, at_time=2.0 + i, detection_delay=1.0)
+        plan.crash(victim, 2.0 + i, detection_delay=1.0)
     plan.install(sim, sites)
     sim.start()
     sim.run(until=100_000.0)
@@ -113,7 +114,7 @@ def test_crash_during_cs_execution_releases_cleanly():
         sim.schedule(0.0, s.submit_request)
     # Site 0 (tree root, highest priority) wins first and enters around
     # t=2; crash it mid-CS.
-    CrashPlan().crash(0, at_time=3.5, detection_delay=1.5).install(sim, sites)
+    FaultPlan().crash(0, 3.5, detection_delay=1.5).install(sim, sites)
     sim.start()
     sim.run(until=100_000.0)
     check_mutual_exclusion(collector.records)
@@ -133,7 +134,7 @@ def test_randomized_crashes_per_construction(quorum):
     for s in sites:
         for _ in range(3):
             sim.schedule(0.0, s.submit_request)
-    CrashPlan().crash(n - 1, 4.0, 2.0).install(sim, sites)
+    FaultPlan().crash(n - 1, 4.0, detection_delay=2.0).install(sim, sites)
     sim.start()
     sim.run(until=500_000.0)
     check_mutual_exclusion(collector.records)

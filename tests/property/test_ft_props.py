@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.faults import FaultTolerantSite
-from repro.ft.recovery import CrashPlan
+from repro.ft.chaos import FaultPlan
 from repro.metrics.collector import MetricsCollector
 from repro.quorums.registry import make_quorum_system
 from repro.sim.network import ConstantDelay, ExponentialDelay
@@ -65,11 +65,11 @@ def test_crashes_never_violate_safety_or_strand_silently(scenario, data):
         ),
         label="victims",
     )
-    plan = CrashPlan()
+    plan = FaultPlan()
     for v in victims:
         at = data.draw(st.floats(1.0, 20.0), label=f"crash-time[{v}]")
         detect = data.draw(st.floats(0.1, 4.0), label=f"detect-delay[{v}]")
-        plan.crash(v, at_time=at, detection_delay=detect)
+        plan.crash(v, at, detection_delay=detect)
     plan.install(sim, sites)
 
     sim.start()

@@ -7,7 +7,7 @@ import pytest
 from repro.core.faults import FaultTolerantSite
 from repro.errors import ConfigurationError
 from repro.experiments.churn import run_churn
-from repro.ft.recovery import ChurnPlan
+from repro.ft.chaos import CrashCycle, FaultPlan, install_crash_cycles
 from repro.metrics.collector import MetricsCollector
 from repro.quorums.registry import make_quorum_system
 from repro.sim.network import ConstantDelay, ExponentialDelay
@@ -29,17 +29,17 @@ def build(quorum="tree", n=7, seed=0, delay=None, rps=5):
 
 def test_churn_plan_validation():
     with pytest.raises(ConfigurationError):
-        ChurnPlan().churn(0, crash_at=5.0, recover_at=5.0)
+        FaultPlan().crash(0, crash_at=5.0, recover_at=5.0)
     with pytest.raises(ConfigurationError):
-        ChurnPlan().churn(0, crash_at=1.0, recover_at=2.0, detection_delay=-1)
+        FaultPlan().crash(0, crash_at=1.0, recover_at=2.0, detection_delay=-1)
     sim, sites, _ = build()
-    with pytest.raises(ConfigurationError):
-        ChurnPlan().churn(99, 1.0, 2.0).install(sim, sites)
+    with pytest.raises(ConfigurationError, match="no site 99"):
+        install_crash_cycles(sim, sites, [CrashCycle(99, 1.0, 2.0)])
 
 
 def test_recovered_site_serves_again():
     sim, sites, col = build()
-    ChurnPlan().churn(0, crash_at=4.0, recover_at=15.0, detection_delay=1.0).install(
+    FaultPlan().crash(0, crash_at=4.0, recover_at=15.0, detection_delay=1.0).install(
         sim, sites
     )
     sim.start()

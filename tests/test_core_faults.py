@@ -7,7 +7,7 @@ import pytest
 from repro.common import Priority
 from repro.core.faults import FaultTolerantSite
 from repro.core.messages import Release, Reply, Request
-from repro.ft.recovery import CrashPlan
+from repro.ft.chaos import FaultPlan
 from repro.metrics.collector import MetricsCollector
 from repro.quorums.majority import MajorityQuorumSystem
 from repro.quorums.tree import TreeQuorumSystem
@@ -228,7 +228,7 @@ def test_crash_any_tree_site_preserves_liveness(victim):
     for s in sites:
         for _ in range(4):
             sim.schedule(0.0, s.submit_request)
-    CrashPlan().crash(victim, at_time=5.0, detection_delay=2.0).install(sim, sites)
+    FaultPlan().crash(victim, 5.0, detection_delay=2.0).install(sim, sites)
     sim.start()
     sim.run(until=200_000)
     check_mutual_exclusion(collector.records)
@@ -244,7 +244,11 @@ def test_two_crashes_majority_quorums():
     for s in sites:
         for _ in range(3):
             sim.schedule(0.0, s.submit_request)
-    plan = CrashPlan().crash(2, 4.0, 1.5).crash(7, 9.0, 1.5)
+    plan = (
+        FaultPlan()
+        .crash(2, 4.0, detection_delay=1.5)
+        .crash(7, 9.0, detection_delay=1.5)
+    )
     plan.install(sim, sites)
     sim.start()
     sim.run(until=200_000)
