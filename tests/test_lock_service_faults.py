@@ -109,6 +109,21 @@ def test_permanent_crash_still_resolves_every_acquire():
     assert summary.availability < 1.0
 
 
+def test_permanent_crashes_without_live_quorum_refused_up_front():
+    # Seed 3 draws victims {0, 4} in shard 0: the 5-site grid has no
+    # quorum avoiding both, so survivor 1 could never acquire again.
+    config = LockRunConfig(
+        shards=4, n_sites=5, n_requests=600, arrival_rate=6.0,
+        crashes=2, crash_downtime=0.0, seed=3,
+    )
+    with pytest.raises(
+        ConfigurationError,
+        match=r"shard 0: permanent crashes of sites \[0, 4\] leave site 1 "
+        "no live quorum in the grid coterie",
+    ):
+        run_lock_service(config)
+
+
 def test_chaos_overlay_supplies_crash_count():
     from repro.ft.chaos import ChaosSchedule
 
