@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.faults import FaultTolerantSite
+from repro.errors import ConfigurationError
 from repro.experiments.report import ExperimentReport
 from repro.ft.chaos import CrashCycle, install_crash_cycles
 from repro.metrics.collector import MetricsCollector
@@ -65,6 +66,11 @@ def run_recovery(
     """Crash sites mid-run; verify live sites keep making progress."""
     crashes = crashes if crashes is not None else [0, 4]
     crash_times = crash_times if crash_times is not None else [6.0, 14.0]
+    if len(crashes) != len(crash_times):
+        raise ConfigurationError(
+            f"{len(crashes)} crash sites {crashes} but {len(crash_times)} "
+            f"crash times {crash_times}: give one time per site"
+        )
     qs = make_quorum_system(quorum, n_sites)
     sim = Simulator(seed=seed, delay_model=ConstantDelay(1.0))
     collector = MetricsCollector()

@@ -397,7 +397,12 @@ class ChaosSchedule:
             raise ConfigurationError("detection_delay must be >= 0")
 
     def materialize(self, n_sites: int) -> FaultPlan:
-        """Expand into a concrete plan for an ``n_sites``-site run."""
+        """Expand into a concrete plan for an ``n_sites``-site run.
+
+        Crash victims are drawn so that no site's down windows overlap;
+        a draw that would overlap is redrawn among the free sites, and
+        :class:`ConfigurationError` is raised when none is free.
+        """
         if n_sites < 2:
             raise ConfigurationError("chaos needs at least 2 sites")
         rng = random.Random(self.seed)
@@ -416,15 +421,30 @@ class ChaosSchedule:
             a, b = rng.sample(range(n_sites), 2)
             start = window(self.cut_duration)
             plan.link_cut(a, b, start, start + self.cut_duration)
+        down: List[Tuple[SiteId, float, float]] = []
+
+        def is_free(site: SiteId, start: float, end: float) -> bool:
+            return all(
+                other != site or end < lo or hi < start for other, lo, hi in down
+            )
+
         for _ in range(self.crashes):
             start = window(self.crash_downtime)
+            end = start + self.crash_downtime
             site = rng.randrange(n_sites)
-            plan.crash(
-                site,
-                start,
-                start + self.crash_downtime,
-                self.detection_delay,
-            )
+            if not is_free(site, start, end):
+                # A second crash inside a site's down window would hit
+                # a dead site, then reset and readmit it early: redraw
+                # among the sites that are up over this whole window.
+                free = [s for s in range(n_sites) if is_free(s, start, end)]
+                if not free:
+                    raise ConfigurationError(
+                        f"no site is free to crash over [{start:.3f}, "
+                        f"{end:.3f}]: all {n_sites} are already down then"
+                    )
+                site = rng.choice(free)
+            down.append((site, start, end))
+            plan.crash(site, start, end, self.detection_delay)
         return plan
 
 

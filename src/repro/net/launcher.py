@@ -33,7 +33,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.net import config as layout
@@ -42,6 +42,7 @@ from repro.net.merge import merge_shard_files
 from repro.net.site_proc import _summary, build_substrate
 from repro.obs.monitor import ProtocolMonitor
 from repro.quorums.registry import make_quorum_system
+from repro.sim.trace import Trace
 from repro.workload.driver import SaturationWorkload
 
 #: Poll interval for the file rendezvous (wall seconds).
@@ -266,7 +267,9 @@ def _run_process_mode(
 
 async def _run_inproc_async(
     config: NetRunConfig, run_dir: Path
-) -> List[Dict[str, Any]]:
+) -> Tuple[List[Dict[str, Any]], List[Trace]]:
+    """Run every site in this loop; returns the site summaries and each
+    site's trace, whose in-memory records mirror its shard line for line."""
     # Reuse the site process's own builder: inproc mode exercises the
     # exact construction path the real deployment uses.
     built = [
@@ -314,11 +317,8 @@ async def _run_inproc_async(
     summaries = []
     for substrate, _site, collector in built:
         summaries.append(_summary(substrate.site_id, config, substrate, collector))
-        trace = substrate.trace
-        close = getattr(trace, "close", None)
-        if close is not None:
-            close()
-    return summaries
+        substrate.trace.close()
+    return summaries, [substrate.trace for substrate, _site, _collector in built]
 
 
 # -- shared verification/aggregation ------------------------------------------
@@ -369,10 +369,11 @@ def run_net(
     )
     run_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
+    traces: Optional[List[Trace]] = None
     if spawn == "process":
         summaries = _run_process_mode(config, run_dir, tolerate_crashes)
     else:
-        summaries = asyncio.run(_run_inproc_async(config, run_dir))
+        summaries, traces = asyncio.run(_run_inproc_async(config, run_dir))
     wall = time.time() - started
 
     shard_paths = [
@@ -390,6 +391,7 @@ def run_net(
         shard_paths,
         out_path=merged_out,
         meta={"spawn": spawn, "merged": True, "site": None},
+        records=traces,
     )
 
     monitor = ProtocolMonitor(strict=False)

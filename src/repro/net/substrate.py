@@ -14,7 +14,9 @@ Correspondence with the simulator:
 * **Clock** — ``now`` is ``(wall - epoch) / unit`` simulation units. The
   launcher distributes one shared epoch, so timestamps from different
   site processes on the same host are mutually comparable and the merged
-  trace sorts into a single coherent history.
+  trace sorts into a single coherent history. The wall clock is read
+  once, at :meth:`~NetSubstrate.configure`; ``now`` then runs on
+  ``time.monotonic()``, so every shard is non-decreasing in time.
 * **Timers** — :meth:`schedule_call` maps unit delays onto
   ``loop.call_later``; the returned :class:`asyncio.TimerHandle` has a
   ``cancel()`` and therefore *is* a substrate timer handle.
@@ -59,9 +61,9 @@ class JsonlTraceWriter(Trace):
     every instant: the file handle is line-buffered and each record is
     written as it happens, so whatever stops the process — a clean exit,
     the launcher's ``SIGTERM``, a crash — the shard on disk is valid up
-    to the last event. Records are *also* kept in memory, so in-process
-    uses (tests, the in-process launcher mode) can read them back without
-    touching the filesystem.
+    to the last event. Records are *also* kept in memory, one per shard
+    line and in the same order, so in-process uses (tests, the
+    in-process launcher's merge) can read them back without decoding.
     """
 
     __slots__ = ("_fh",)
@@ -141,7 +143,8 @@ class NetSubstrate:
         self.stats = NetStats()
         self.transport: Optional[ReliableTransport] = None
         self._unit = config.unit
-        self._epoch_wall = time.time()
+        #: ``time.monotonic()`` at the epoch: :attr:`now` counts from it.
+        self._clock_origin = time.monotonic()
         self._addresses: Dict[SiteId, Tuple[str, int]] = {}
         self._endpoint = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -185,9 +188,15 @@ class NetSubstrate:
     def configure(
         self, addresses: Dict[SiteId, Tuple[str, int]], epoch_wall: float
     ) -> None:
-        """Install the peer address book and the shared clock epoch."""
+        """Install the peer address book and the shared clock epoch.
+
+        The epoch is a wall-clock instant, but :attr:`now` reads the
+        monotonic clock: the wall clock is read once here to place the
+        epoch on it, so ``epoch_wall + now * unit`` is still wall time
+        while a later wall-clock step cannot move ``now`` backwards.
+        """
         self._addresses = dict(addresses)
-        self._epoch_wall = epoch_wall
+        self._clock_origin = time.monotonic() - (time.time() - epoch_wall)
 
     def start_nodes(self) -> None:
         """Fire every hosted node's ``on_start`` hook."""
@@ -204,8 +213,9 @@ class NetSubstrate:
 
     @property
     def now(self) -> float:
-        """Current time in simulation units since the shared epoch."""
-        return (time.time() - self._epoch_wall) / self._unit
+        """Current time in simulation units since the shared epoch;
+        never decreases (monotonic clock, see :meth:`configure`)."""
+        return (time.monotonic() - self._clock_origin) / self._unit
 
     def schedule_call(
         self,

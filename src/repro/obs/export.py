@@ -33,7 +33,7 @@ import functools
 import importlib
 import json
 from math import isfinite
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common import Priority, slotted_dataclass
 from repro.errors import ConfigurationError
@@ -268,10 +268,20 @@ def import_jsonl(path) -> TraceFile:
 
 
 def _import_lines(lines, label: str) -> TraceFile:
+    meta = read_header(lines, label)
+    records = [rec for rec, _line in decode_lines(lines, label)]
+    return TraceFile(schema=SCHEMA, meta=meta, records=records)
+
+
+def read_header(lines, label: str) -> Dict[str, Any]:
+    """Consume a trace's header line from ``lines``; returns its ``meta``.
+
+    ``label`` names the source in errors: an empty file, a malformed
+    header or a foreign schema raise :class:`ConfigurationError`.
+    """
     header_line = next(lines, "")
     if not header_line.strip():
         raise ConfigurationError(f"{label}: empty trace file")
-    number = 1  # of the line being parsed, for the error message
     try:
         header = json.loads(header_line)
         schema = header.get("schema")
@@ -279,12 +289,24 @@ def _import_lines(lines, label: str) -> TraceFile:
             raise ConfigurationError(
                 f"unsupported trace schema {schema!r} (expected {SCHEMA!r})"
             )
-        records = []
+        return header.get("meta", {})
+    except (ValueError, AttributeError, ConfigurationError) as exc:
+        raise ConfigurationError(f"{label}:1: {exc}") from exc
+
+
+def decode_lines(lines, label: str) -> Iterator[Tuple[TraceRecord, str]]:
+    """Decode the record lines that follow a header, each exactly once.
+
+    Yields ``(record, line)`` with the line as read, newline-terminated;
+    blank lines are skipped. A malformed line raises
+    :class:`ConfigurationError` labelled ``<label>:<line number>``.
+    """
+    number = 1  # of the line being parsed, for the error message
+    try:
         for number, line in enumerate(lines, start=2):
             if line.strip():
-                records.append(decode_record(line))
+                if not line.endswith("\n"):
+                    line += "\n"
+                yield decode_record(line), line
     except (ValueError, AttributeError, ConfigurationError) as exc:
         raise ConfigurationError(f"{label}:{number}: {exc}") from exc
-    return TraceFile(
-        schema=schema, meta=header.get("meta", {}), records=records
-    )

@@ -4,6 +4,8 @@ live under seeded chaos (loss + duplication + reordering)."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.faults import FaultTolerantSite
@@ -82,6 +84,78 @@ def test_crash_cycles_require_fault_tolerant_sites():
                 workload=SaturationWorkload(2),
             )
         )
+
+
+def _churn(seed: int, **overrides) -> ChaosSchedule:
+    recipe = dict(loss_bursts=0, delay_spikes=0, link_cuts=0, crashes=2)
+    recipe.update(overrides)
+    return ChaosSchedule(seed=seed, **recipe)
+
+
+def _independent_victims(schedule: ChaosSchedule, n_sites: int):
+    """Crash cycles as drawn with no overlap check: a start, then a site."""
+    rng = random.Random(schedule.seed)
+    drawn = []
+    for _ in range(schedule.crashes):
+        start = rng.uniform(0.0, schedule.horizon - schedule.crash_downtime)
+        drawn.append((rng.randrange(n_sites), start, start + schedule.crash_downtime))
+    return drawn
+
+
+def _overlapping(cycles) -> bool:
+    return any(
+        a[0] == b[0] and not (a[2] < b[1] or b[2] < a[1])
+        for i, a in enumerate(cycles)
+        for b in cycles[:i]
+    )
+
+
+@pytest.mark.parametrize("seed", [35, 58, 99, 117])
+def test_churn_never_gives_one_site_overlapping_down_windows(seed):
+    # Drawn independently, each of these seeds crashes one site twice
+    # inside one down window; 99 and 117 then drained with every site
+    # holding unserved work. The victim is now redrawn.
+    n = 9
+    schedule = _churn(seed)
+    assert _overlapping(_independent_victims(schedule, n))
+    plan = schedule.materialize(n)
+    cycles = [(c.site, c.crash_at, c.recover_at) for c in plan.crashes]
+    assert not _overlapping(cycles)
+
+    qs = make_quorum_system("grid", n)
+    sim = Simulator(seed=seed, delay_model=ConstantDelay(1.0))
+    collector = MetricsCollector()
+    sites = [FaultTolerantSite(i, qs, listener=collector) for i in range(n)]
+    for site in sites:
+        sim.add_node(site)
+    SaturationWorkload(30).install(sim, sites)
+    plan.install(sim, sites)
+    sim.start()
+    sim.run(until=500_000.0)
+    check_mutual_exclusion(collector.records)
+    unserved = {r.site for r in collector.records if not r.complete}
+    assert unserved <= {site for site, _start, _end in cycles}
+
+
+def test_churn_draws_are_unchanged_where_no_window_overlaps():
+    checked = 0
+    for seed in range(60):
+        schedule = _churn(seed, crashes=3)
+        drawn = _independent_victims(schedule, 9)
+        if _overlapping(drawn):
+            continue
+        plan = schedule.materialize(9)
+        assert [(c.site, c.crash_at, c.recover_at) for c in plan.crashes] == drawn
+        checked += 1
+    assert checked > 40
+
+
+def test_churn_with_no_free_site_is_refused():
+    # Every down window is [0, 10]: two sites cannot absorb three crashes.
+    schedule = _churn(0, crashes=3, horizon=10.0, crash_downtime=10.0)
+    assert len(schedule.materialize(3).crashes) == 3
+    with pytest.raises(ConfigurationError, match="no site is free"):
+        schedule.materialize(2)
 
 
 # -- acceptance: safety and liveness under seeded chaos -----------------------

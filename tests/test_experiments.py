@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.ablation import naked_message_count, run_ablation
 from repro.experiments.delay import run_delay
 from repro.experiments.fault_tolerance import run_availability, run_recovery
@@ -103,6 +104,13 @@ def test_e7b_recovery_liveness():
     report = run_recovery(n_sites=7, quorum="tree", requests_per_site=4)
     rows = {r[0]: r[1] for r in report.rows}
     assert rows["unserved at live sites"] == 0
+
+
+def test_e7b_refuses_crash_sites_without_one_time_each():
+    with pytest.raises(ConfigurationError, match="one time per site"):
+        run_recovery(crashes=[0, 4, 5], crash_times=[6.0])
+    with pytest.raises(ConfigurationError, match="one time per site"):
+        run_recovery(crashes=[0], crash_times=[6.0, 14.0])
 
 
 def test_e8_load_sweep_runs_and_orders_messages():
